@@ -10,7 +10,6 @@ from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import (
     OccurrenceList,
     Permutation,
-    Word,
     complement,
     count_occurrences,
     find_occurrences,
@@ -44,7 +43,6 @@ from .formulas import (
     bona,
     catalan,
     formula_corollary_interval,
-    formula_intro,
     formula_theorem1,
     formula_theorem3,
     formula_theorem4,
@@ -52,7 +50,6 @@ from .formulas import (
     recurrence_coefficient,
     robertson_both,
     robertson_single,
-    simion_schmidt,
 )
 from .verify import (
     ADVISORY_CLAIMS,

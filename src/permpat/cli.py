@@ -1,6 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error (a failed self-check, an inexact formula division, or a
+search too deep for the interpreter's recursion limit).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import sys
 from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import count_occurrences, find_occurrences, parse_permutation
 from .enumeration import (
+    DESK_SCALE_LIMIT,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,
@@ -45,6 +48,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError("limit must be a positive integer")
     pattern_set = parse_set_expression(args.set)
     if pattern_set.kind == "mkm":
         assert pattern_set.tau is not None
@@ -131,14 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    force_help = f"override the n > {DESK_SCALE_LIMIT} desk-scale guard"
 
     p_count = sub.add_parser(
         "count", help="count the permutations selected by a set expression",
         epilog=_SET_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     p_count.add_argument("--set", required=True, help="pattern set expression")
     p_count.add_argument("-n", type=int, required=True, help="permutation length")
-    p_count.add_argument("--force", action="store_true",
-                         help="override the n > 12 desk-scale guard")
+    p_count.add_argument("--force", action="store_true", help=force_help)
     p_count.set_defaults(handler=_cmd_count)
 
     p_enum = sub.add_parser(
@@ -148,8 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("-n", type=int, required=True, help="permutation length")
     p_enum.add_argument("--limit", type=int, default=None,
                         help="stop after this many permutations")
-    p_enum.add_argument("--force", action="store_true",
-                        help="override the n > 12 desk-scale guard")
+    p_enum.add_argument("--force", action="store_true", help=force_help)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_occ = sub.add_parser(
@@ -172,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--parallel", action="store_true",
                           help="fan claim groups out across processes")
     p_verify.add_argument("--force", action="store_true",
-                          help="allow n-max > 12")
+                          help=f"allow n-max > {DESK_SCALE_LIMIT}")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_map = sub.add_parser(
@@ -199,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        # RecursionError is a RuntimeError; none of these may pass for exit 1.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

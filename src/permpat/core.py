@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Permutation",
-    "Word",
     "OccurrenceList",
     "make_permutation",
     "flatten",
@@ -76,24 +75,6 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class Word:
-    """A sequence of distinct integers with arbitrary values (not necessarily
-    1..n); the raw material that `flatten` turns into a permutation."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.entries)) != len(self.entries):
-            raise ValueError("word entries must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class OccurrenceList:
     """Occurrences of `pattern` in a host of length `host_length`: 1-based
     index tuples in lexicographic order.  `truncated` is set when a listing
@@ -123,19 +104,14 @@ def make_permutation(values: Iterable[int]) -> Permutation:
     return Permutation(tuple(values))
 
 
-def flatten(word: Word | Permutation | Sequence[int]) -> Permutation:
+def flatten(word: Iterable[int]) -> Permutation:
     """The unique permutation order-isomorphic to a distinct-entry word: the
     entry ranked r among the word's values becomes r.
 
     flatten((5, 2, 9)) == [2, 1, 3]; flattening a permutation returns it
     unchanged.
     """
-    if isinstance(word, Word):
-        entries = word.entries
-    elif isinstance(word, Permutation):
-        entries = word.values
-    else:
-        entries = tuple(word)
+    entries = tuple(word)
     if not entries:
         raise ValueError("cannot flatten an empty word")
     rank = {v: r for r, v in enumerate(sorted(entries), start=1)}
@@ -199,15 +175,15 @@ def _window_refs(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(lower), tuple(upper)
 
 
-def _count_dfs(host: Sequence[int], pattern: Sequence[int], cap: int | None) -> int:
-    m = len(pattern)
+def _count_dfs(host: Sequence[int], lower: Sequence[int], upper: Sequence[int],
+               chosen: list[int], first: int, cap: int | None) -> int:
+    """The counting window DFS: occurrences in `host` of pattern slots
+    `first`.. (window refs `lower`/`upper` from `_window_refs`), given the
+    values already matched in chosen[:first].  With `cap`, counting stops
+    early and the result is min(true count, cap)."""
     n = len(host)
-    if m > n:
-        return 0
-    lower, upper = _window_refs(pattern)
-    chosen = [0] * m
+    last = len(lower) - 1
     count = 0
-    last = m - 1
 
     def walk(j: int, start: int) -> bool:
         nonlocal count
@@ -215,12 +191,12 @@ def _count_dfs(host: Sequence[int], pattern: Sequence[int], cap: int | None) -> 
         ui = upper[j]
         lo = chosen[li] if li >= 0 else 0
         hi = chosen[ui] if ui >= 0 else _HUGE
-        for p in range(start, n - m + j + 1):
+        for p in range(start, n - last + j):
             v = host[p]
             if lo < v < hi:
                 if j == last:
                     count += 1
-                    if cap is not None and count >= cap:
+                    if count == cap:
                         return True
                 else:
                     chosen[j] = v
@@ -228,7 +204,7 @@ def _count_dfs(host: Sequence[int], pattern: Sequence[int], cap: int | None) -> 
                         return True
         return False
 
-    walk(0, 0)
+    walk(first, 0)
     return count
 
 
@@ -238,7 +214,9 @@ def count_occurrences(host: Permutation, pattern: Permutation,
     stops early and the result is min(true count, cap)."""
     if cap is not None and cap < 1:
         raise ValueError("cap must be a positive integer")
-    return _count_dfs(host.values, pattern.values, cap)
+    pv = pattern.values
+    lower, upper = _window_refs(pv)
+    return _count_dfs(host.values, lower, upper, [0] * len(pv), 0, cap)
 
 
 def iter_occurrences(host: Permutation, pattern: Permutation) -> Iterator[tuple[int, ...]]:
@@ -302,61 +280,17 @@ class PinnedPattern:
 
     def __init__(self, pattern_values: Sequence[int]):
         pv = tuple(pattern_values)
-        m = len(pv)
-        self.length = m
-        # Slot m-1 is pinned before slots 0..m-2 are matched, so window refs
-        # for slot j range over {m-1} union {0..j-1}.
-        lower: list[int] = []
-        upper: list[int] = []
-        for j in range(m - 1):
-            lo = -1
-            hi = -1
-            for i in (*range(j), m - 1):
-                if pv[i] < pv[j]:
-                    if lo < 0 or pv[i] > pv[lo]:
-                        lo = i
-                else:
-                    if hi < 0 or pv[i] < pv[hi]:
-                        hi = i
-            lower.append(lo)
-            upper.append(hi)
-        self.lower = tuple(lower)
-        self.upper = tuple(upper)
+        self.length = len(pv)
+        # The pinned value is matched before the prefix slots, so the window
+        # refs are those of the pattern rotated to put its last entry first.
+        self.lower, self.upper = _window_refs(pv[-1:] + pv[:-1])
 
     def count_ending_at(self, prefix: Sequence[int], value: int, cap: int) -> int:
         """Occurrences, up to `cap`, whose last entry is `value` appended
         after `prefix` (a sequence of distinct values)."""
         m = self.length
-        t = len(prefix)
-        if t < m - 1:
-            return 0
         if m == 1:
             return 1
-        lower = self.lower
-        upper = self.upper
-        chosen = [0] * m
-        chosen[m - 1] = value
-        count = 0
-        last = m - 2
-
-        def walk(j: int, start: int) -> bool:
-            nonlocal count
-            li = lower[j]
-            ui = upper[j]
-            lo = chosen[li] if li >= 0 else 0
-            hi = chosen[ui] if ui >= 0 else _HUGE
-            for p in range(start, t - (last - j)):
-                v = prefix[p]
-                if lo < v < hi:
-                    if j == last:
-                        count += 1
-                        if count >= cap:
-                            return True
-                    else:
-                        chosen[j] = v
-                        if walk(j + 1, p + 1):
-                            return True
-            return False
-
-        walk(0, 0)
-        return count
+        # Slot 0 holds the pinned value; the walk overwrites slots 1.. before
+        # any window ref reads them.
+        return _count_dfs(prefix, self.lower, self.upper, [value] * m, 1, cap)

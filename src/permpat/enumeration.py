@@ -8,16 +8,17 @@ Two independent computation routes live here on purpose:
   families T(k,m) and their unions that check collapses to an exact count
   over rank compositions; for arbitrary pattern lists it is a capped
   pinned-pattern search per member.
-* The oracle route (`exhaustive=True`, `occurrence_histogram`) scans whole
-  permutations with plain subsequence combinations and no pruning at all,
-  so the two routes cross-validate each other.
+* The oracle route is one naive scan, `_scan_count`: it walks every
+  permutation of S_n and every k-subsequence, with no pruning and none of
+  the occurrence machinery of `core`, so the two routes cross-validate
+  each other.  `count_avoiders(exhaustive=True)`, `occurrence_histogram`
+  and the verifier's exactly-one-123-and-one-132 oracle all read it.
 
 All counts are exact Python integers; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations as _permutations
 from math import comb, factorial
@@ -40,9 +41,8 @@ __all__ = [
 DESK_SCALE_LIMIT = 12
 
 _avoider_cache: dict[tuple, int] = {}
-_scan_cache: dict[tuple, int] = {}
+_scan_cache: dict[tuple, dict[tuple[int, ...] | None, int]] = {}
 _exactly_once_cache: dict[tuple, int] = {}
-_histogram_cache: dict[tuple, "Histogram"] = {}
 
 
 def _check_n(n: int, force: bool) -> None:
@@ -179,23 +179,44 @@ def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...],
     return rec(1)
 
 
-def _scan_count(n: int, k: int, keys: frozenset[tuple[int, ...]],
-                first_entry: int | None) -> int:
-    """Unpruned oracle: test every permutation of S_n by flattening each
-    k-subsequence and looking it up in the pattern-key set."""
-    count = 0
+def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
+                cap: int | None = None,
+                first_entry: int | None = None
+                ) -> dict[tuple[int, ...] | None, int]:
+    """Unpruned oracle: for every permutation of S_n (or only those starting
+    with first_entry), count the k-subsequences matching each group of
+    length-k patterns, and tally the count vectors.
+
+    Groups must be disjoint.  A permutation in which some group reaches
+    `cap` occurrences stops being scanned and is tallied under None, so
+    every vector in the tally is exact.  Results are cached.
+    """
+    key = (n, groups, cap, first_entry)
+    if key in _scan_cache:
+        return _scan_cache[key]
+    k = len(groups[0][0])
+    slots = range(k)
+    # Sorting the slots of a subsequence by value gives the inverse of its
+    # pattern, so each pattern is looked up by its inverse.
+    group_of = {tuple(sorted(slots, key=p.__getitem__)): g
+                for g, patterns in enumerate(groups) for p in patterns}
+    tally: dict[tuple[int, ...] | None, int] = {}
     for perm in _permutations(range(1, n + 1)):
         if first_entry is not None and perm[0] != first_entry:
             continue
-        hit = False
+        counts = [0] * len(groups)
+        vector: tuple[int, ...] | None = None
         for sub in combinations(perm, k):
-            s = sorted(sub)
-            if tuple(s.index(x) + 1 for x in sub) in keys:
-                hit = True
-                break
-        if not hit:
-            count += 1
-    return count
+            g = group_of.get(tuple(sorted(slots, key=sub.__getitem__)))
+            if g is not None:
+                counts[g] += 1
+                if counts[g] == cap:
+                    break
+        else:
+            vector = tuple(counts)
+        tally[vector] = tally.get(vector, 0) + 1
+    _scan_cache[key] = tally
+    return tally
 
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
@@ -257,44 +278,29 @@ def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
     for p in _iter_avoiders(n, pattern_set):
         if not avoids_all(p, pattern_set):
             raise RuntimeError(
-                f"internal error: enumerated {p} fails avoids_all for "
+                f"enumerated {p} fails avoids_all for "
                 f"{pattern_set.label()}")
         yield p
 
 
 def count_avoiders(n: int, pattern_set: PatternSet, *,
                    first_entry: int | None = None,
-                   parallel: bool = False,
                    exhaustive: bool = False,
                    force: bool = False) -> int:
     """|S_n(pattern_set)|, by pruned backtracking without materializing
     permutations.
 
     first_entry restricts to permutations starting with that value (counting
-    over any partition of the first entry sums to the full count).  parallel
-    splits the search by first entry across worker threads and sums the
-    partial counts in deterministic order.  exhaustive switches to the
-    unpruned scan oracle.
+    over any partition of the first entry sums to the full count).
+    exhaustive switches to the unpruned scan oracle.
     """
     _check_n(n, force)
     if first_entry is not None and not 1 <= first_entry <= n:
         raise ValueError(f"first_entry={first_entry} outside 1..{n}")
 
     if exhaustive:
-        key = (n, _set_key(pattern_set), first_entry)
-        if key not in _scan_cache:
-            keys = frozenset(p.values for p in pattern_set.patterns)
-            _scan_cache[key] = _scan_count(n, pattern_set.k, keys, first_entry)
-        return _scan_cache[key]
-
-    if parallel and first_entry is None:
-        with ThreadPoolExecutor() as pool:
-            futures = [
-                pool.submit(count_avoiders, n, pattern_set,
-                            first_entry=v, force=force)
-                for v in range(1, n + 1)
-            ]
-            return sum(f.result() for f in futures)
+        patterns = tuple(p.values for p in pattern_set.patterns)
+        return _scan_count(n, (patterns,), 1, first_entry).get((0,), 0)
 
     key = (n, _set_key(pattern_set), first_entry)
     if key not in _avoider_cache:
@@ -398,7 +404,6 @@ def _count_exactly_once_rec(n: int, k: int, m: int, tau: tuple[int, ...],
 
 def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
                        first_entry: int | None = None,
-                       parallel: bool = False,
                        force: bool = False) -> int:
     """|S_n(T(k,m); tau)|: permutations avoiding every pattern of T(k,m)
     except tau while containing tau exactly once."""
@@ -406,15 +411,6 @@ def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     _exactly_once_params(n, k, m, tau)
     if first_entry is not None and not 1 <= first_entry <= n:
         raise ValueError(f"first_entry={first_entry} outside 1..{n}")
-
-    if parallel and first_entry is None:
-        with ThreadPoolExecutor() as pool:
-            futures = [
-                pool.submit(count_exactly_once, n, k, m, tau,
-                            first_entry=v, force=force)
-                for v in range(1, n + 1)
-            ]
-            return sum(f.result() for f in futures)
 
     key = (n, k, m, tau.values, first_entry)
     if key not in _exactly_once_cache:
@@ -435,7 +431,7 @@ def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     for p in out:
         if not contains_exactly_once(p, tau, avoid):
             raise RuntimeError(
-                f"internal error: enumerated {p} fails contains_exactly_once "
+                f"enumerated {p} fails contains_exactly_once "
                 f"for tau={tau}")
         yield p
 
@@ -445,17 +441,6 @@ def occurrence_histogram(n: int, tau: Permutation, *,
     """Full distribution of the occurrence count of tau over S_n, by
     exhaustive unpruned scan (this is the oracle route: no shortcuts)."""
     _check_n(n, force)
-    key = (n, tau.values)
-    if key not in _histogram_cache:
-        m = len(tau)
-        tvals = tau.values
-        counts: dict[int, int] = {}
-        for perm in _permutations(range(1, n + 1)):
-            c = 0
-            for sub in combinations(perm, m):
-                s = sorted(sub)
-                if all(s[tv - 1] == x for tv, x in zip(tvals, sub)):
-                    c += 1
-            counts[c] = counts.get(c, 0) + 1
-        _histogram_cache[key] = Histogram(pattern=tau, n=n, counts=counts)
-    return _histogram_cache[key]
+    tally = _scan_count(n, ((tau.values,),))
+    return Histogram(pattern=tau, n=n,
+                     counts={vector[0]: c for vector, c in tally.items()})

@@ -14,13 +14,11 @@ __all__ = [
     "recurrence_coefficient",
     "formula_theorem3",
     "formula_theorem4",
-    "formula_intro",
     "catalan",
     "noonan",
     "bona",
     "robertson_single",
     "robertson_both",
-    "simion_schmidt",
 ]
 
 
@@ -124,30 +122,3 @@ def robertson_both(n: int) -> int:
     exactly one 132; defined for n >= 5."""
     _require(n >= 5, f"n={n} must be at least 5")
     return (n - 3) * (n - 4) * 2 ** (n - 5)
-
-
-def simion_schmidt(n: int) -> int:
-    """2^(n-1): permutations avoiding both patterns of T(3,1) (equivalently
-    T(3,2)); the k=3 specialization of the general family count."""
-    _require(n >= 1, f"n={n} must be at least 1")
-    return 2 ** (n - 1)
-
-
-_INTRO = {
-    "catalan": catalan,
-    "noonan": noonan,
-    "bona": bona,
-    "robertson_single": robertson_single,
-    "robertson_both": robertson_both,
-    "simion_schmidt": simion_schmidt,
-}
-
-
-def formula_intro(name: str, n: int) -> int:
-    """Dispatch to one of the single-parameter reference formulas by name."""
-    try:
-        fn = _INTRO[name]
-    except KeyError:
-        raise ValueError(f"unknown formula name {name!r}; "
-                         f"known: {sorted(_INTRO)}") from None
-    return fn(n)

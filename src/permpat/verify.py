@@ -29,6 +29,8 @@ from typing import Iterable, Mapping
 
 from .core import Permutation, parse_compact
 from .enumeration import (
+    DESK_SCALE_LIMIT,
+    _scan_count,
     count_avoiders,
     count_exactly_once,
     occurrence_histogram,
@@ -105,27 +107,9 @@ def _parse_ms(text: str) -> tuple[int, ...]:
 
 def _count_both_exactly_one(n: int) -> int:
     """Direct filter oracle: permutations of S_n containing exactly one
-    ascending triple (123) and exactly one 132, counted by a plain
-    subsequence scan with no shared machinery."""
-    count = 0
-    for perm in _permutations(range(1, n + 1)):
-        c123 = 0
-        c132 = 0
-        ok = True
-        for x, y, z in _combinations(perm, 3):
-            if x < y < z:
-                c123 += 1
-                if c123 > 1:
-                    ok = False
-                    break
-            elif x < z < y:
-                c132 += 1
-                if c132 > 1:
-                    ok = False
-                    break
-        if ok and c123 == 1 and c132 == 1:
-            count += 1
-    return count
+    ascending triple (123) and exactly one 132, counted by the naive scan
+    with no shared pruning machinery."""
+    return _scan_count(n, (((1, 2, 3),), ((1, 3, 2),)), 2).get((1, 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +444,9 @@ def run_suite(selection="all", n_max: int = 9, *, parallel: bool = False,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > 12 and not force:
-        raise ValueError("n_max > 12 needs force=True (factorial growth)")
+    if n_max > DESK_SCALE_LIMIT and not force:
+        raise ValueError(f"n_max > {DESK_SCALE_LIMIT} needs force=True "
+                         "(factorial growth)")
     names = _resolve_selection(selection)
     tasks: list[tuple[str, list[dict]]] = []
     for name in names:

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 import permpat.cli as cli
+import permpat.enumeration as enumeration
 from permpat.cli import main
 from permpat.verify import VerificationRecord
 
@@ -64,6 +67,40 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--set", "M(3,1;132)", "-n", "3")
         assert code == 0
         assert out == "1,3,2\n"
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exits_2(self, capsys, limit):
+        code, out, err = run(capsys, "enumerate", "--set", "{12}", "-n", "3",
+                             "--limit", limit)
+        assert code == 2
+        assert out == ""
+        assert "limit must be a positive integer" in err
+
+
+class TestInternalErrors:
+    def test_recursion_depth_exits_3(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--set", "{21}", "-n", "1200",
+                             "--force", "--limit", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RecursionError")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_guard_failure_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "avoids_all", lambda p, s: False)
+        code, out, err = run(capsys, "enumerate", "--set", "Tkm(3,1)", "-n", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: enumerated 2,1,3")
+
+    def test_inexact_division_exits_3(self, capsys, monkeypatch):
+        def inexact(*args, **kwargs):
+            raise ArithmeticError("inexact division 7/2")
+
+        monkeypatch.setattr(cli, "count_avoiders", inexact)
+        code, _, err = run(capsys, "count", "--set", "{12}", "-n", "4")
+        assert code == 3
+        assert err == "internal error: ArithmeticError: inexact division 7/2\n"
 
 
 class TestOccurrences:

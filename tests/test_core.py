@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from permpat.core import (
     OccurrenceList,
     Permutation,
-    Word,
+    PinnedPattern,
     complement,
     count_occurrences,
     find_occurrences,
@@ -75,14 +75,11 @@ class TestFlatten:
         ((10, -3, 7, 0), (4, 1, 3, 2)),
     ])
     def test_rank_map(self, word, expected):
-        assert flatten(Word(word)).values == expected
         assert flatten(word).values == expected
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             flatten((3, 3, 1))
-        with pytest.raises(ValueError):
-            Word((3, 3, 1))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -207,6 +204,19 @@ class TestOccurrences:
             for p in permutations(range(1, k + 1))
         )
         assert total == comb(n, k)
+
+
+class TestPinnedPattern:
+    @given(patterns(max_m=5), st.integers(0, 8), st.integers(1, 3), st.data())
+    def test_count_ending_at_matches_brute(self, pattern, t, cap, data):
+        # prefix+[value] is any distinct-value word; only occurrences that
+        # use its last position end at the appended value.
+        word = data.draw(st.permutations(list(range(1, t + 2))))
+        prefix, value = word[:-1], word[-1]
+        brute = sum(1 for pos in brute_occurrence_list(word, pattern.values)
+                    if pos[-1] == t + 1)
+        got = PinnedPattern(pattern.values).count_ending_at(prefix, value, cap)
+        assert got == min(cap, brute)
 
 
 class TestOccurrenceListInvariants:

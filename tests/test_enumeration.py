@@ -98,23 +98,16 @@ class TestCountAvoiders:
 
     @pytest.mark.parametrize("pattern_set", [
         build_tkm(3, 1), build_tkm(4, 3), build_union_tkm(3, (2, 3)),
+        build_tkm(4, 2), adhoc_set([parse_compact("213")]),
     ])
     def test_partition_by_first_entry_sums_to_total(self, pattern_set):
-        n = 6
-        total = count_avoiders(n, pattern_set)
-        parts = [count_avoiders(n, pattern_set, first_entry=v)
-                 for v in range(1, n + 1)]
-        assert sum(parts) == total
-        # any coarser partition gives the same answer
-        assert sum(parts[:3]) + sum(parts[3:]) == total
-
-    @pytest.mark.parametrize("pattern_set", [
-        build_tkm(3, 1), build_tkm(4, 2), adhoc_set([parse_compact("213")]),
-    ])
-    def test_parallel_equals_serial(self, pattern_set):
-        for n in (5, 7):
-            assert (count_avoiders(n, pattern_set, parallel=True)
-                    == count_avoiders(n, pattern_set))
+        for n in (5, 6, 7):
+            total = count_avoiders(n, pattern_set)
+            parts = [count_avoiders(n, pattern_set, first_entry=v)
+                     for v in range(1, n + 1)]
+            assert sum(parts) == total
+            # any coarser partition gives the same answer
+            assert sum(parts[:3]) + sum(parts[3:]) == total
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -173,9 +166,10 @@ class TestCountExactlyOnce:
         tau_p = parse_compact(tau)
         assert count_exactly_once(n, k, m, tau_p) == self._filter_oracle(n, k, m, tau_p)
 
-    def test_parallel_equals_serial(self):
+    def test_partition_by_first_entry_sums_to_total(self):
         tau = parse_compact("2314")
-        assert (count_exactly_once(7, 4, 2, tau, parallel=True)
+        assert (sum(count_exactly_once(7, 4, 2, tau, first_entry=v)
+                    for v in range(1, 8))
                 == count_exactly_once(7, 4, 2, tau))
 
     def test_guards(self):

@@ -4,7 +4,6 @@ from permpat.formulas import (
     bona,
     catalan,
     formula_corollary_interval,
-    formula_intro,
     formula_theorem1,
     formula_theorem3,
     formula_theorem4,
@@ -12,7 +11,6 @@ from permpat.formulas import (
     recurrence_coefficient,
     robertson_both,
     robertson_single,
-    simion_schmidt,
 )
 
 
@@ -27,7 +25,7 @@ class TestTheorem1:
 
     def test_k3_specialization_is_power_of_two(self):
         for n in range(3, 12):
-            assert formula_theorem1(n, 3) == 2 ** (n - 1) == simion_schmidt(n)
+            assert formula_theorem1(n, 3) == 2 ** (n - 1)
 
     def test_k4_m_any_specialization(self):
         for n in range(4, 12):
@@ -177,18 +175,10 @@ class TestIntroFormulas:
             robertson_single(2)
         with pytest.raises(ValueError):
             robertson_both(4)
-        with pytest.raises(ValueError):
-            simion_schmidt(0)
-
-    def test_dispatch(self):
-        assert formula_intro("catalan", 4) == 14
-        assert formula_intro("noonan", 4) == 6
-        with pytest.raises(ValueError):
-            formula_intro("nope", 4)
 
     def test_all_evaluations_are_ints(self):
         values = [
             catalan(8), noonan(8), bona(8), robertson_single(8),
-            robertson_both(8), simion_schmidt(8),
+            robertson_both(8),
         ]
         assert all(type(v) is int for v in values)
