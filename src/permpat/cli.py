@@ -1,14 +1,15 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error (a failed self-check, an inexact formula division, or a
-search too deep for the interpreter's recursion limit).
+3 internal error (a failed self-check, an inexact formula division, or an
+occurrence search too deep for the interpreter's recursion limit).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import count_occurrences, find_occurrences, parse_permutation
@@ -58,12 +59,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                                         force=args.force)
     else:
         stream = enumerate_avoiders(args.n, pattern_set, force=args.force)
-    emitted = 0
-    for perm in stream:
-        if args.limit is not None and emitted >= args.limit:
-            break
+    for perm in islice(stream, args.limit):
         print(perm)
-        emitted += 1
     return 0
 
 
@@ -204,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
-        # RecursionError is a RuntimeError; none of these may pass for exit 1.
+        # RecursionError is a RuntimeError (the occurrence search recurses
+        # once per pattern slot); none of these may pass for exit 1.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -1,13 +1,16 @@
-"""Backtracking enumeration and counting of pattern-restricted permutations.
+"""Enumeration and counting of pattern-restricted permutations.
 
 Two independent computation routes live here on purpose:
 
-* The optimized route extends prefixes value by value and checks, for each
-  candidate, only the occurrences that would END at the appended value
-  (appending a value can create no other occurrence).  For the first-entry
-  families T(k,m) and their unions that check collapses to an exact count
-  over rank compositions; for arbitrary pattern lists it is a capped
-  pinned-pattern search per member.
+* The optimized route is one iterative prefix walker, `_walk`, that asks a
+  rule which values may come next and decides each entry when it is
+  placed.  An unused value's rank among the unused values is the number of
+  smaller entries that will follow it (its inversion-table digit), so for
+  the first-entry families T(k,m), their unions and the exactly-once classes
+  the rule knows from that rank alone every family occurrence the entry
+  starts.  For arbitrary pattern lists the rule is a capped pinned-pattern
+  search per member over the occurrences that would END at the appended
+  value (appending a value can create no other occurrence).
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
@@ -40,9 +43,7 @@ __all__ = [
 
 DESK_SCALE_LIMIT = 12
 
-_avoider_cache: dict[tuple, int] = {}
 _scan_cache: dict[tuple, dict[tuple[int, ...] | None, int]] = {}
-_exactly_once_cache: dict[tuple, int] = {}
 
 
 def _check_n(n: int, force: bool) -> None:
@@ -53,10 +54,6 @@ def _check_n(n: int, force: bool) -> None:
             f"n={n} exceeds the desk-scale limit {DESK_SCALE_LIMIT}: the "
             f"search space grows like n! ({DESK_SCALE_LIMIT}! is already "
             f"{factorial(DESK_SCALE_LIMIT)}); pass force=True to override")
-
-
-def _set_key(pattern_set: PatternSet) -> tuple:
-    return (pattern_set.k, tuple(p.values for p in pattern_set.patterns))
 
 
 @dataclass(frozen=True)
@@ -81,102 +78,85 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# Incremental containment checks
+# The prefix walker and its rules
 # ---------------------------------------------------------------------------
+#
+# A rule is children(prefix, unused, state): it yields (r, state') for each
+# value unused[r] that may follow prefix, in increasing r, where unused is
+# the sorted list of values not yet placed.  The candidate unused[r] will be
+# followed by exactly r smaller entries and len(unused) - 1 - r larger ones
+# (its inversion-table digit is r), so a rule can decide from r alone every
+# pattern occurrence the candidate starts.
+#
+# `_count_family`, `_count_generic`, `_iter_avoiders` and
+# `_count_exactly_once_rec` stay as thin entry points over `_walk`: the
+# benchmark's trace mode (perfbench/child.py) times each walk under its name.
 
-def _family_hit_table(k: int, ms: tuple[int, ...], n: int) -> list[list[bool]]:
-    """hit[s][l]: given a candidate first element with s smaller and l larger
-    elements available after it, can some pattern whose first-entry rank lies
-    in ms be completed?  (Any rank arrangement of the later elements works,
-    so only the counts matter.)"""
-    size = n + 2
-    table = [[False] * size for _ in range(size)]
-    for s in range(size):
-        row = table[s]
-        for l in range(size):
-            for m in ms:
-                if s >= m - 1 and l >= k - m:
-                    row[l] = True
+def _walk(n: int, first_entry: int | None, children) -> Iterator[list[int]]:
+    """Yield every complete prefix that the rule allows at each step, in
+    lexicographic order.  first_entry keeps only that root child, so the
+    first entry passes the rule like every other.  The yielded list is the
+    walker's own and changes after the consumer resumes it."""
+    prefix: list[int] = []
+    ranks: list[int] = []
+    unused = list(range(1, n + 1))
+    root = children(prefix, unused, None)
+    if first_entry is not None:
+        root = (child for child in root if child[0] == first_entry - 1)
+    stack = [iter(root)]
+    while stack:
+        for r, state in stack[-1]:
+            prefix.append(unused.pop(r))
+            if unused:
+                ranks.append(r)
+                stack.append(iter(children(prefix, unused, state)))
+                break  # descend: the new top of the stack is iterated next
+            yield prefix
+            unused.insert(r, prefix.pop())
+        else:
+            # the top node has no more children: undo the entry it added
+            stack.pop()
+            if ranks:
+                unused.insert(ranks.pop(), prefix.pop())
+
+
+def _family_rule(n: int, k: int, ms: tuple[int, ...]):
+    """Avoid the union of T(k,m) for m in ms: an entry with s smaller and l
+    larger later entries starts an occurrence iff s >= m-1 and l >= k-m for
+    some m in ms, whatever order the later entries take."""
+    allowed = [[(r, None) for r in range(later + 1)
+                if all(r < m - 1 or later - r < k - m for m in ms)]
+               for later in range(n)]
+    return lambda prefix, unused, state: allowed[len(unused) - 1]
+
+
+def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
+    """Avoid an arbitrary pattern list: a candidate is allowed when no
+    occurrence of any member ends at it (appending a value can create no
+    other occurrence)."""
+    checks = [PinnedPattern(p).count_ending_at for p in patterns]
+
+    def children(prefix, unused, state):
+        for r, v in enumerate(unused):
+            for ends_at in checks:
+                if ends_at(prefix, v, 1):
                     break
-    return table
+            else:
+                yield r, None
+
+    return children
 
 
 def _count_family(n: int, k: int, ms: tuple[int, ...],
                   first_entry: int | None) -> int:
     """Count avoiders of the union of T(k,m) for m in ms."""
-    hit = _family_hit_table(k, ms, n)
-    prefix: list[int] = []
-    smaller_after: list[int] = []
-    remaining = list(range(1, n + 1))
-
-    def rec(t: int) -> int:
-        if t == n:
-            return 1
-        total = 0
-        for idx in range(n - t):
-            v = remaining[idx]
-            ok = True
-            for i in range(t):
-                b = 1 if v < prefix[i] else 0
-                s = smaller_after[i] + b
-                if hit[s][t - i - s]:
-                    ok = False
-                    break
-            if ok:
-                remaining.pop(idx)
-                for i in range(t):
-                    if v < prefix[i]:
-                        smaller_after[i] += 1
-                prefix.append(v)
-                smaller_after.append(0)
-                total += rec(t + 1)
-                smaller_after.pop()
-                prefix.pop()
-                for i in range(t):
-                    if v < prefix[i]:
-                        smaller_after[i] -= 1
-                remaining.insert(idx, v)
-        return total
-
-    if first_entry is None:
-        return rec(0)
-    prefix.append(first_entry)
-    smaller_after.append(0)
-    remaining.remove(first_entry)
-    return rec(1)
+    return sum(1 for _ in _walk(n, first_entry, _family_rule(n, k, ms)))
 
 
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...],
                    first_entry: int | None) -> int:
-    """Count avoiders of an arbitrary pattern list via capped pinned search."""
-    pinned = [PinnedPattern(p) for p in patterns]
-    prefix: list[int] = []
-    remaining = list(range(1, n + 1))
-
-    def rec(t: int) -> int:
-        if t == n:
-            return 1
-        total = 0
-        for idx in range(n - t):
-            v = remaining[idx]
-            ok = True
-            for pp in pinned:
-                if pp.count_ending_at(prefix, v, 1):
-                    ok = False
-                    break
-            if ok:
-                remaining.pop(idx)
-                prefix.append(v)
-                total += rec(t + 1)
-                prefix.pop()
-                remaining.insert(idx, v)
-        return total
-
-    if first_entry is None:
-        return rec(0)
-    prefix.append(first_entry)
-    remaining.remove(first_entry)
-    return rec(1)
+    """Count avoiders of an arbitrary pattern list."""
+    return sum(1 for _ in _walk(n, first_entry, _generic_rule(patterns)))
 
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
@@ -220,49 +200,13 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
-    """Yield avoiders in lexicographic order via prefix backtracking."""
-    prefix: list[int] = []
-    smaller_after: list[int] = []
-    remaining = list(range(1, n + 1))
+    """Yield avoiders in lexicographic order."""
     if pattern_set.kind in ("tkm", "union"):
-        k = pattern_set.k
-        hit = _family_hit_table(k, pattern_set.ms, n)
-
-        def extension_ok(v: int, t: int) -> bool:
-            for i in range(t):
-                b = 1 if v < prefix[i] else 0
-                s = smaller_after[i] + b
-                if hit[s][t - i - s]:
-                    return False
-            return True
+        rule = _family_rule(n, pattern_set.k, pattern_set.ms)
     else:
-        pinned = [PinnedPattern(p.values) for p in pattern_set.patterns]
-
-        def extension_ok(v: int, t: int) -> bool:
-            return not any(pp.count_ending_at(prefix, v, 1) for pp in pinned)
-
-    def rec(t: int) -> Iterator[Permutation]:
-        if t == n:
-            yield Permutation(tuple(prefix))
-            return
-        for idx in range(n - t):
-            v = remaining[idx]
-            if extension_ok(v, t):
-                remaining.pop(idx)
-                for i in range(t):
-                    if v < prefix[i]:
-                        smaller_after[i] += 1
-                prefix.append(v)
-                smaller_after.append(0)
-                yield from rec(t + 1)
-                smaller_after.pop()
-                prefix.pop()
-                for i in range(t):
-                    if v < prefix[i]:
-                        smaller_after[i] -= 1
-                remaining.insert(idx, v)
-
-    yield from rec(0)
+        rule = _generic_rule(tuple(p.values for p in pattern_set.patterns))
+    for prefix in _walk(n, None, rule):
+        yield Permutation(tuple(prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +231,7 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
                    first_entry: int | None = None,
                    exhaustive: bool = False,
                    force: bool = False) -> int:
-    """|S_n(pattern_set)|, by pruned backtracking without materializing
+    """|S_n(pattern_set)|, by the pruned prefix walk without materializing
     permutations.
 
     first_entry restricts to permutations starting with that value (counting
@@ -302,15 +246,10 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
         patterns = tuple(p.values for p in pattern_set.patterns)
         return _scan_count(n, (patterns,), 1, first_entry).get((0,), 0)
 
-    key = (n, _set_key(pattern_set), first_entry)
-    if key not in _avoider_cache:
-        if pattern_set.kind in ("tkm", "union"):
-            value = _count_family(n, pattern_set.k, pattern_set.ms, first_entry)
-        else:
-            patterns = tuple(p.values for p in pattern_set.patterns)
-            value = _count_generic(n, patterns, first_entry)
-        _avoider_cache[key] = value
-    return _avoider_cache[key]
+    if pattern_set.kind in ("tkm", "union"):
+        return _count_family(n, pattern_set.k, pattern_set.ms, first_entry)
+    patterns = tuple(p.values for p in pattern_set.patterns)
+    return _count_generic(n, patterns, first_entry)
 
 
 def _exactly_once_params(n: int, k: int, m: int, tau: Permutation) -> None:
@@ -324,82 +263,54 @@ def _exactly_once_params(n: int, k: int, m: int, tau: Permutation) -> None:
         raise ValueError(f"tau must start with m={m}, got {tau}")
 
 
+def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
+    """Avoid T(k,m) minus tau and contain tau exactly once.
+
+    An entry with s smaller and l larger later entries starts C(s,m-1) *
+    C(l,k-m) occurrences of T(k,m), so every placement knows how many it
+    adds, and a candidate that would bring the total to 2 is refused.  When
+    the one occurrence starts, its other values are known: all, or none, of
+    the smaller and of the larger values still unused.  The state is then
+    the tuple of those values not yet placed, in the order tau places them;
+    a candidate among them that is not the next one is refused, and the
+    last entry needs the occurrence to have started.
+    """
+    starts = [[comb(r, m - 1) * comb(later - r, k - m) for r in range(later + 1)]
+              for later in range(n)]
+
+    def children(prefix, unused, state):
+        later = len(unused) - 1
+        row = starts[later]
+        for r, v in enumerate(unused):
+            if row[r]:
+                if state is not None or row[r] > 1:
+                    continue
+                values = ((unused[:r] if m > 1 else []) + [v]
+                          + (unused[r + 1:] if m < k else []))
+                child = tuple(values[t - 1] for t in tau[1:])
+            elif state is not None and v in state:
+                if v != state[0]:
+                    continue
+                child = state[1:]
+            else:
+                child = state
+            if later or child is not None:
+                yield r, child
+
+    return children
+
+
 def _count_exactly_once_rec(n: int, k: int, m: int, tau: tuple[int, ...],
                             first_entry: int | None,
                             collect: list | None) -> int:
     """Count (or collect, in lexicographic order) permutations avoiding
-    T(k,m) minus tau while containing tau exactly once.
-
-    Pruning: a candidate extension is abandoned as soon as the family
-    occurrences it would complete either include a non-tau member or push
-    the tau count past one.  Appending v with first element at position i
-    completes C(s, need_s) * C(l, need_l) family occurrences, where s and l
-    count the smaller/larger prefix elements after i; only totals 0 and 1
-    can survive, and a surviving single occurrence is tau or not by a capped
-    pinned search.
-    """
-    pinned_tau = PinnedPattern(tau)
-    choose = [[comb(s, r) for r in range(k)] for s in range(n + 1)]
-    prefix: list[int] = []
-    smaller_after: list[int] = []
-    remaining = list(range(1, n + 1))
-
-    def rec(t: int, tau_cnt: int) -> int:
-        if t == n:
-            if tau_cnt == 1:
-                if collect is not None:
-                    collect.append(Permutation(tuple(prefix)))
-                return 1
-            return 0
-        total = 0
-        for idx in range(n - t):
-            v = remaining[idx]
-            c_fam = 0
-            for i in range(t):
-                if v < prefix[i]:
-                    need_s = m - 2
-                    need_l = k - m
-                else:
-                    need_s = m - 1
-                    need_l = k - m - 1
-                if need_s < 0 or need_l < 0:
-                    continue
-                s = smaller_after[i]
-                l = t - 1 - i - s
-                if s >= need_s and l >= need_l:
-                    c_fam += choose[s][need_s] * choose[l][need_l]
-                    if c_fam >= 2:
-                        break
-            if c_fam >= 2:
-                continue
-            new_cnt = tau_cnt
-            if c_fam == 1:
-                if tau_cnt == 1:
-                    continue
-                if pinned_tau.count_ending_at(prefix, v, 1) == 0:
-                    continue
-                new_cnt = 1
-            remaining.pop(idx)
-            for i in range(t):
-                if v < prefix[i]:
-                    smaller_after[i] += 1
-            prefix.append(v)
-            smaller_after.append(0)
-            total += rec(t + 1, new_cnt)
-            smaller_after.pop()
-            prefix.pop()
-            for i in range(t):
-                if v < prefix[i]:
-                    smaller_after[i] -= 1
-            remaining.insert(idx, v)
-        return total
-
-    if first_entry is None:
-        return rec(0, 0)
-    prefix.append(first_entry)
-    smaller_after.append(0)
-    remaining.remove(first_entry)
-    return rec(1, 0)
+    T(k,m) minus tau while containing tau exactly once."""
+    count = 0
+    for prefix in _walk(n, first_entry, _exactly_once_rule(n, k, m, tau)):
+        count += 1
+        if collect is not None:
+            collect.append(Permutation(tuple(prefix)))
+    return count
 
 
 def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
@@ -411,12 +322,7 @@ def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     _exactly_once_params(n, k, m, tau)
     if first_entry is not None and not 1 <= first_entry <= n:
         raise ValueError(f"first_entry={first_entry} outside 1..{n}")
-
-    key = (n, k, m, tau.values, first_entry)
-    if key not in _exactly_once_cache:
-        _exactly_once_cache[key] = _count_exactly_once_rec(
-            n, k, m, tau.values, first_entry, None)
-    return _exactly_once_cache[key]
+    return _count_exactly_once_rec(n, k, m, tau.values, first_entry, None)
 
 
 def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,

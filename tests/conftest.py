@@ -44,3 +44,13 @@ def brute_count_avoiders(n: int, pattern_set) -> int:
         1 for perm in permutations(range(1, n + 1))
         if not brute_contains_any(perm, keys, k)
     )
+
+
+def brute_contains_exactly_once(perm_values, tau_values) -> bool:
+    """True when exactly one k-subsequence flattens to a pattern starting
+    with tau[0], and that one is tau: the permutation avoids T(k,tau[0])
+    minus tau and contains tau exactly once."""
+    k = len(tau_values)
+    hits = [flat for flat in map(brute_flatten, combinations(perm_values, k))
+            if flat[0] == tau_values[0]]
+    return hits == [tuple(tau_values)]

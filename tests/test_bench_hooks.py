@@ -1,6 +1,6 @@
 """The benchmark's trace mode wraps package functions by module attribute
-name (see perfbench/child.py).  A traced run must still work, and the scan
-layer it wraps must still be the one that does the scanning."""
+name (see perfbench/child.py).  A traced run must still work, and the layers
+it wraps must still be the ones that do the scanning and the walking."""
 
 import json
 import os
@@ -8,20 +8,42 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_verify_runs_through_the_wrapped_scan(tmp_path):
+def traced(tmp_path, *argv):
+    """Run perfbench/child.py --spans on argv; return the process and the
+    per-span totals."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "perfbench/child.py", "--spans", str(spans), "cli",
-         "verify", "--claims", "noonan,robertson_both", "--n-max", "5"],
+        [sys.executable, "perfbench/child.py", "--spans", str(spans), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(spans.read_text())["totals"]
+
+
+def test_traced_verify_runs_through_the_wrapped_scan(tmp_path):
+    proc, totals = traced(tmp_path, "cli", "verify", "--claims",
+                          "noonan,robertson_both", "--n-max", "5")
     assert proc.stdout.strip().endswith("4/4 pass")
-    totals = json.loads(spans.read_text())["totals"]
     assert totals["enumeration.scan"][0] > 0
     assert totals["verify.claim.robertson_both"][0] == 1
+
+
+@pytest.mark.parametrize("argv, output, span", [
+    (("cli", "count", "--set", "Tkm(4,2)", "-n", "6"), "162",
+     "enumeration.walk_family"),
+    (("count", "6:1324"), "6:1324 513", "enumeration.walk_generic"),
+    (("cli", "count", "--set", "M(4,2;2143)", "-n", "6"), "9",
+     "enumeration.walk_exactly_once"),
+], ids=["family", "generic", "exactly_once"])
+def test_traced_count_runs_through_the_wrapped_walker(tmp_path, argv, output,
+                                                      span):
+    proc, totals = traced(tmp_path, *argv)
+    assert proc.stdout.strip() == output
+    assert totals[span][0] == 1

@@ -68,6 +68,15 @@ class TestEnumerate:
         assert code == 0
         assert out == "1,3,2\n"
 
+    def test_limit_stops_a_walk_of_1200_entries(self, capsys):
+        # The walker is iterative and the limit stops it after one item, so
+        # the dead-end tree behind the identity is never searched.
+        code, out, err = run(capsys, "enumerate", "--set", "{21}", "-n", "1200",
+                             "--force", "--limit", "1")
+        assert code == 0
+        assert err == ""
+        assert out == ",".join(str(v) for v in range(1, 1201)) + "\n"
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_exits_2(self, capsys, limit):
         code, out, err = run(capsys, "enumerate", "--set", "{12}", "-n", "3",
@@ -78,14 +87,6 @@ class TestEnumerate:
 
 
 class TestInternalErrors:
-    def test_recursion_depth_exits_3(self, capsys):
-        code, out, err = run(capsys, "enumerate", "--set", "{21}", "-n", "1200",
-                             "--force", "--limit", "1")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("internal error: RecursionError")
-        assert "Traceback" not in err and err.count("\n") == 1
-
     def test_guard_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(enumeration, "avoids_all", lambda p, s: False)
         code, out, err = run(capsys, "enumerate", "--set", "Tkm(3,1)", "-n", "3")

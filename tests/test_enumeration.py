@@ -23,7 +23,7 @@ from permpat.families import (
     contains_exactly_once,
 )
 
-from conftest import brute_count_avoiders
+from conftest import brute_contains_exactly_once, brute_count_avoiders
 
 
 class TestEnumerateAvoiders:
@@ -119,6 +119,14 @@ class TestCountAvoiders:
     def test_bad_first_entry(self):
         with pytest.raises(ValueError):
             count_avoiders(4, build_tkm(3, 1), first_entry=5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_entry_passes_the_same_rule(self, n):
+        # every permutation contains the pattern 1, its first entry included
+        ps = adhoc_set([Permutation((1,))])
+        for v in range(1, n + 1):
+            assert count_avoiders(n, ps, first_entry=v) == 0
+            assert count_avoiders(n, ps, first_entry=v, exhaustive=True) == 0
 
 
 class TestCountExactlyOnce:
@@ -262,3 +270,43 @@ class TestRouteAgreement:
             n = rng.randint(1, 6)
             assert (count_avoiders(n, ps)
                     == count_avoiders(n, ps, exhaustive=True))
+
+    def test_every_walker_rule_against_the_scan(self):
+        rng = random.Random(3)
+        sets = []
+        for _ in range(20):
+            k = rng.randint(2, 5)
+            ms = [m for m in range(1, k + 1) if rng.random() < 0.5]
+            ms = ms or [rng.randint(1, k)]
+            sets.append(build_tkm(k, ms[0]) if len(ms) == 1
+                        else build_union_tkm(k, ms))
+        for _ in range(20):
+            k = rng.randint(1, 4)
+            universe = list(permutations(range(1, k + 1)))
+            pats = rng.sample(universe, rng.randint(1, min(4, len(universe))))
+            sets.append(adhoc_set(Permutation(p) for p in pats))
+        for ps in sets:
+            n = rng.randint(1, 7)
+            total = count_avoiders(n, ps)
+            assert total == count_avoiders(n, ps, exhaustive=True)
+            for v in range(1, n + 1):
+                assert (count_avoiders(n, ps, first_entry=v)
+                        == count_avoiders(n, ps, first_entry=v, exhaustive=True))
+            out = list(enumerate_avoiders(n, ps))
+            assert all(a < b for a, b in zip(out, out[1:]))
+            assert len(out) == total
+
+    def test_exactly_once_rule_against_a_brute_filter(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            k = rng.randint(2, 4)
+            m = rng.randint(1, k)
+            tau = rng.choice(build_tkm(k, m).patterns)
+            n = rng.randint(1, 7)
+            members = [Permutation(p) for p in permutations(range(1, n + 1))
+                       if brute_contains_exactly_once(p, tau.values)]
+            assert list(enumerate_exactly_once(n, k, m, tau)) == members
+            assert count_exactly_once(n, k, m, tau) == len(members)
+            for v in range(1, n + 1):
+                assert (count_exactly_once(n, k, m, tau, first_entry=v)
+                        == sum(1 for p in members if p.values[0] == v))
