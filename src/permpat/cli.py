@@ -67,8 +67,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_occurrences(args: argparse.Namespace) -> int:
     host = parse_permutation(args.host)
     pattern = parse_permutation(args.pattern)
-    print(count_occurrences(host, pattern))
     listing = find_occurrences(host, pattern, args.limit)
+    print(count_occurrences(host, pattern))
     for pos in listing.positions:
         print("(" + ",".join(str(i) for i in pos) + ")")
     return 0
@@ -90,7 +90,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for r in records if r.passed)
     print(f"{passed}/{len(records)} pass")
     if args.out:
-        write_report(records, args.format, args.out)
+        try:
+            write_report(records, args.format, args.out)
+        except OSError as exc:
+            raise ValueError(f"cannot write the report: {exc}") from exc
         print(f"report written to {args.out}")
     return 1 if failures else 0
 

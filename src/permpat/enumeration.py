@@ -17,7 +17,9 @@ Two independent computation routes live here on purpose:
   each other.  `count_avoiders(exhaustive=True)`, `occurrence_histogram`
   and the verifier's exactly-one-123-and-one-132 oracle all read it.
 
-All counts are exact Python integers; nothing here touches floating point.
+Nothing is cached between calls, and the listings stream: each permutation is
+yielded as the walk reaches it.  All counts are exact Python integers;
+nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 12
-
-_scan_cache: dict[tuple, dict[tuple[int, ...] | None, int]] = {}
 
 
 def _check_n(n: int, force: bool) -> None:
@@ -169,11 +169,8 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 
     Groups must be disjoint.  A permutation in which some group reaches
     `cap` occurrences stops being scanned and is tallied under None, so
-    every vector in the tally is exact.  Results are cached.
+    every vector in the tally is exact.
     """
-    key = (n, groups, cap, first_entry)
-    if key in _scan_cache:
-        return _scan_cache[key]
     k = len(groups[0][0])
     slots = range(k)
     # Sorting the slots of a subsequence by value gives the inverse of its
@@ -195,7 +192,6 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
         else:
             vector = tuple(counts)
         tally[vector] = tally.get(vector, 0) + 1
-    _scan_cache[key] = tally
     return tally
 
 
@@ -301,16 +297,10 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
 
 
 def _count_exactly_once_rec(n: int, k: int, m: int, tau: tuple[int, ...],
-                            first_entry: int | None,
-                            collect: list | None) -> int:
-    """Count (or collect, in lexicographic order) permutations avoiding
-    T(k,m) minus tau while containing tau exactly once."""
-    count = 0
-    for prefix in _walk(n, first_entry, _exactly_once_rule(n, k, m, tau)):
-        count += 1
-        if collect is not None:
-            collect.append(Permutation(tuple(prefix)))
-    return count
+                            first_entry: int | None) -> int:
+    """Count permutations avoiding T(k,m) minus tau while containing tau
+    exactly once."""
+    return sum(1 for _ in _walk(n, first_entry, _exactly_once_rule(n, k, m, tau)))
 
 
 def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
@@ -322,7 +312,7 @@ def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     _exactly_once_params(n, k, m, tau)
     if first_entry is not None and not 1 <= first_entry <= n:
         raise ValueError(f"first_entry={first_entry} outside 1..{n}")
-    return _count_exactly_once_rec(n, k, m, tau.values, first_entry, None)
+    return _count_exactly_once_rec(n, k, m, tau.values, first_entry)
 
 
 def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
@@ -332,9 +322,8 @@ def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     _check_n(n, force)
     _exactly_once_params(n, k, m, tau)
     avoid = build_m(k, m, tau)
-    out: list[Permutation] = []
-    _count_exactly_once_rec(n, k, m, tau.values, None, out)
-    for p in out:
+    for prefix in _walk(n, None, _exactly_once_rule(n, k, m, tau.values)):
+        p = Permutation(tuple(prefix))
         if not contains_exactly_once(p, tau, avoid):
             raise RuntimeError(
                 f"enumerated {p} fails contains_exactly_once "

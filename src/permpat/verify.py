@@ -1,4 +1,4 @@
-"""Claim registry and oracle-vs-formula verification harness.
+"""Claim table and oracle-vs-formula verification harness.
 
 Every claim pairs a closed-form evaluator with an independently computed
 brute-force oracle; a claim instance passes only on exact integer equality.
@@ -22,10 +22,12 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations as _combinations, permutations as _permutations
+from itertools import combinations as _combinations, groupby as _groupby
+from itertools import permutations as _permutations
 from math import factorial
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import Permutation, parse_compact
 from .enumeration import (
@@ -65,15 +67,16 @@ __all__ = [
 _ENUM_CAP = 9
 _SCAN_CAP = 8
 
-ADVISORY_CLAIMS = frozenset({"corollary2_onset"})
-
 
 @dataclass(frozen=True)
 class Claim:
-    """A verifiable statement: which formula, which oracle, which grid."""
+    """A verifiable statement: its grid maps n_max to groups of bindings,
+    and its runner maps one binding to (oracle value, formula value)."""
 
     claim_id: str
     summary: str
+    grid: Callable[[int], list[list[dict]]]
+    run: Callable[[Mapping], tuple[int, int]]
     advisory: bool = False
 
 
@@ -93,18 +96,6 @@ class VerificationRecord:
         return dict(self.params)
 
 
-def _params(d: Mapping[str, int | str]) -> tuple[tuple[str, int | str], ...]:
-    return tuple(sorted(d.items()))
-
-
-def _ms_string(ms: tuple[int, ...]) -> str:
-    return ",".join(str(m) for m in ms)
-
-
-def _parse_ms(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
-
-
 def _count_both_exactly_one(n: int) -> int:
     """Direct filter oracle: permutations of S_n containing exactly one
     ascending triple (123) and exactly one 132, counted by the naive scan
@@ -113,7 +104,9 @@ def _count_both_exactly_one(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Claim runners: params dict -> (oracle value, formula value)
+# Claim runners: params dict -> (oracle value, formula value).  A claim row
+# names its runner, never a formula: runners look formulas up in this module
+# when they run, so the benchmark's trace mode (perfbench/child.py) sees them.
 # ---------------------------------------------------------------------------
 
 def _run_theorem1(p: Mapping) -> tuple[int, int]:
@@ -128,15 +121,9 @@ def _run_corollary_interval(p: Mapping) -> tuple[int, int]:
     return oracle, formula_corollary_interval(n, k, a, b)
 
 
-def _run_corollary_base_constant(p: Mapping) -> tuple[int, int]:
-    k, a, b = p["k"], p["a"], p["b"]
-    oracle = count_avoiders(k, build_union_tkm(k, range(a, b + 1)))
-    return oracle, formula_corollary_interval(k, k, a, b)
-
-
 def _run_corollary2(p: Mapping) -> tuple[int, int]:
     n, k = p["n"], p["k"]
-    ms = _parse_ms(p["ms"])
+    ms = tuple(int(m) for m in p["ms"].split(","))
     union = build_union_tkm(k, ms)
     coeff = recurrence_coefficient(k, ms)
     return (count_avoiders(n, union),
@@ -188,226 +175,150 @@ def _run_robertson_both(p: Mapping) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Binding grids, grouped so that one group shares cached counts when the
-# suite fans groups out across worker processes.
+# Binding grids.  A group of bindings is what one worker process runs under
+# --parallel.
 # ---------------------------------------------------------------------------
 
-def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for r in range(1, k + 1):
-        out.extend(_combinations(range(1, k + 1), r))
-    return out
+def _grid(bindings: Callable[..., list[dict]], *args, group=None):
+    """The grid over bindings(*args): for a given n_max, the bindings with
+    n <= n_max, grouped into runs of consecutive bindings that differ only
+    in n, or with `group`, that agree on group(binding).  bindings is
+    called only when the grid is asked for."""
+
+    def grid(n_max: int) -> list[list[dict]]:
+        kept = [p for p in bindings(*args) if p["n"] <= n_max]
+        return [list(run) for _, run in _groupby(kept, group or _all_but_n)]
+
+    return grid
 
 
-def _groups_theorem1(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    return [
-        [{"k": k, "m": m, "n": n} for n in range(k, cap + 1)]
-        for k in (3, 4, 5)
-        for m in range(1, k + 1)
-    ]
+def _all_but_n(p: dict) -> list:
+    return [value for name, value in p.items() if name != "n"]
 
 
-def _groups_corollary_interval(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    return [
-        [{"k": k, "a": a, "b": b, "n": n} for n in range(k, cap + 1)]
-        for k in (3, 4)
-        for a in range(1, k + 1)
-        for b in range(a, k + 1)
-    ]
+def _theorem1_bindings() -> list[dict]:
+    return [{"k": k, "m": m, "n": n} for k in (3, 4, 5)
+            for m in range(1, k + 1) for n in range(k, _ENUM_CAP + 1)]
 
 
-def _groups_corollary_base_constant(n_max: int) -> list[list[dict]]:
-    groups = []
-    for k in (3, 4):
-        if n_max < k:
-            continue
-        group = []
-        for a in range(1, k + 1):
-            for b in range(a, k + 1):
-                group.append({
-                    "k": k, "a": a, "b": b, "n": k,
-                    "proof_base": (k + a - b + 1) * factorial(k - 1),
-                })
-        groups.append(group)
-    return groups
+def _interval_bindings() -> list[dict]:
+    return [{"k": k, "a": a, "b": b, "n": n} for k in (3, 4)
+            for a in range(1, k + 1) for b in range(a, k + 1)
+            for n in range(k, _ENUM_CAP + 1)]
 
 
-def _groups_corollary2(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    groups = []
-    for k in (3, 4):
-        for ms in _nonempty_subsets(k):
-            group = [{"k": k, "ms": _ms_string(ms), "n": n}
-                     for n in range(2 * k + 1, cap + 1)]
-            if group:
-                groups.append(group)
-    return groups
+def _base_constant_bindings() -> list[dict]:
+    return [{**p, "proof_base": (p["k"] + p["a"] - p["b"] + 1) * factorial(p["k"] - 1)}
+            for p in _interval_bindings() if p["n"] == p["k"]]
 
 
-def _groups_corollary2_onset(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    groups = []
-    for k in (3, 4):
-        for ms in _nonempty_subsets(k):
-            group = [{"k": k, "ms": _ms_string(ms), "n": n}
-                     for n in range(k + 1, min(2 * k, cap) + 1)]
-            if group:
-                groups.append(group)
-    return groups
+def _union_bindings() -> list[dict]:
+    return [{"k": k, "ms": ",".join(str(m) for m in ms), "n": n} for k in (3, 4)
+            for size in range(1, k + 1)
+            for ms in _combinations(range(1, k + 1), size)
+            for n in range(k + 1, _ENUM_CAP + 1)]
 
 
-def _groups_theorem3(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    return [
-        [{"k": k, "m": 1, "tau": tau.compact(), "n": n}
-         for n in range(k, cap + 1)]
-        for k in (3, 4)
-        for tau in build_tkm(k, 1).patterns
-    ]
+def _corollary2_bindings() -> list[dict]:
+    return [p for p in _union_bindings() if p["n"] > 2 * p["k"]]
 
 
-def _groups_theorem3_complement(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    return [
-        [{"k": k, "m": k, "tau": tau.compact(), "n": n}
-         for n in range(k, cap + 1)]
-        for k in (3, 4)
-        for tau in build_tkm(k, k).patterns
-    ]
+def _onset_bindings() -> list[dict]:
+    return [p for p in _union_bindings() if p["n"] <= 2 * p["k"]]
 
 
-def _groups_theorem4(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _ENUM_CAP)
-    return [
-        [{"k": k, "m": m, "tau": tau.compact(), "n": n}
-         for n in range(k, cap + 1)]
-        for k in (3, 4)
-        for m in range(2, k)
-        for tau in build_tkm(k, m).patterns
-    ]
+def _tau_bindings(ks_and_ms: tuple[tuple[int, int], ...]) -> list[dict]:
+    return [{"k": k, "m": m, "tau": tau.compact(), "n": n} for k, m in ks_and_ms
+            for tau in build_tkm(k, m).patterns for n in range(k, _ENUM_CAP + 1)]
 
 
-def _groups_catalan(n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _SCAN_CAP)
-    taus = [Permutation(p) for p in _permutations((1, 2, 3))]
-    return [
-        [{"tau": tau.compact(), "n": n} for n in range(1, cap + 1)]
-        for tau in sorted(taus)
-    ]
+def _catalan_bindings() -> list[dict]:
+    taus = sorted(Permutation(p) for p in _permutations((1, 2, 3)))
+    return [{"tau": tau.compact(), "n": n}
+            for tau in taus for n in range(1, _SCAN_CAP + 1)]
 
 
-def _simple_range_groups(lo: int, n_max: int) -> list[list[dict]]:
-    cap = min(n_max, _SCAN_CAP)
-    group = [{"n": n} for n in range(lo, cap + 1)]
-    return [group] if group else []
+def _n_from(first: int) -> list[dict]:
+    return [{"n": n} for n in range(first, _SCAN_CAP + 1)]
 
 
-_CLAIM_DEFS: dict[str, dict] = {
-    "theorem1": {
-        "summary": "|S_n(T(k,m))| = (k-2)!*(k-1)^(n+2-k), k in {3,4,5}, all m, n to 9",
-        "groups": _groups_theorem1,
-        "run": _run_theorem1,
-    },
-    "corollary_interval": {
-        "summary": "|S_n(T(k,a) u..u T(k,b))| = (k-1)!*(k+a-b-1)^(n+1-k), k in {3,4}, n to 9",
-        "groups": _groups_corollary_interval,
-        "run": _run_corollary_interval,
-    },
-    "corollary_base_constant": {
-        "summary": "base case n=k of the interval union: adjudicates (k+a-b-1) "
-                   "against the rival constant (k+a-b+1) carried in params",
-        "groups": _groups_corollary_base_constant,
-        "run": _run_corollary_base_constant,
-    },
-    "corollary2": {
-        "summary": "general union recurrence |S_n| = (k+i1-id-1)*|S_(n-1)| for "
-                   "n >= 2k+1, every nonempty index subset, k in {3,4}",
-        "groups": _groups_corollary2,
-        "run": _run_corollary2,
-    },
-    "corollary2_onset": {
-        "summary": "advisory probe: where the union recurrence first holds "
-                   "inside k+1..2k (reported, not judged)",
-        "groups": _groups_corollary2_onset,
-        "run": _run_corollary2,
-        "advisory": True,
-    },
-    "theorem3": {
-        "summary": "|S_n(T(k,1);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,1), "
-                   "k in {3,4}, n to 9",
-        "groups": _groups_theorem3,
-        "run": _run_theorem3,
-    },
-    "theorem3_complement": {
-        "summary": "|S_n(T(k,k);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,k), "
-                   "k in {3,4}, n to 9",
-        "groups": _groups_theorem3_complement,
-        "run": _run_theorem3,
-    },
-    "theorem4": {
-        "summary": "|S_n(T(k,m);tau)| = (k-1)^(n-k) for 2 <= m <= k-1, every tau, "
-                   "k in {3,4}, n to 9",
-        "groups": _groups_theorem4,
-        "run": _run_theorem4,
-    },
-    "catalan": {
-        "summary": "|S_n({tau})| equals the n-th Catalan number for every "
-                   "length-3 tau, n to 8",
-        "groups": _groups_catalan,
-        "run": _run_catalan,
-    },
-    "noonan": {
-        "summary": "exactly-one-123 bucket of the S_n occurrence histogram "
-                   "equals (3/n)*C(2n,n+3), n to 8",
-        "groups": lambda n_max: _simple_range_groups(3, n_max),
-        "run": _run_noonan,
-    },
-    "bona": {
-        "summary": "exactly-one-132 bucket of the S_n occurrence histogram "
-                   "equals C(2n-3,n-3), n to 8",
-        "groups": lambda n_max: _simple_range_groups(3, n_max),
-        "run": _run_bona,
-    },
-    "robertson_single": {
-        "summary": "|S_n(123;132)| = (n-2)*2^(n-3) via exactly-once counting, n to 8",
-        "groups": lambda n_max: _simple_range_groups(3, n_max),
-        "run": _run_robertson_single,
-    },
-    "robertson_both": {
-        "summary": "permutations with exactly one 123 and one 132 number "
-                   "(n-3)(n-4)*2^(n-5), direct filter oracle, n to 8",
-        "groups": lambda n_max: _simple_range_groups(5, n_max),
-        "run": _run_robertson_both,
-    },
-}
+_CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
+    Claim("theorem1",
+          "|S_n(T(k,m))| = (k-2)!*(k-1)^(n+2-k), k in {3,4,5}, all m, n to 9",
+          grid=_grid(_theorem1_bindings), run=_run_theorem1),
+    Claim("corollary_interval",
+          "|S_n(T(k,a) u..u T(k,b))| = (k-1)!*(k+a-b-1)^(n+1-k), k in {3,4}, n to 9",
+          grid=_grid(_interval_bindings), run=_run_corollary_interval),
+    Claim("corollary_base_constant",
+          "base case n=k of the interval union: adjudicates (k+a-b-1) "
+          "against the rival constant (k+a-b+1) carried in params",
+          grid=_grid(_base_constant_bindings, group=itemgetter("k")),
+          run=_run_corollary_interval),
+    Claim("corollary2",
+          "general union recurrence |S_n| = (k+i1-id-1)*|S_(n-1)| for "
+          "n >= 2k+1, every nonempty index subset, k in {3,4}",
+          grid=_grid(_corollary2_bindings), run=_run_corollary2),
+    Claim("corollary2_onset",
+          "advisory probe: where the union recurrence first holds "
+          "inside k+1..2k (reported, not judged)",
+          grid=_grid(_onset_bindings), run=_run_corollary2,
+          advisory=True),
+    Claim("theorem3",
+          "|S_n(T(k,1);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,1), "
+          "k in {3,4}, n to 9",
+          grid=_grid(_tau_bindings, ((3, 1), (4, 1))), run=_run_theorem3),
+    Claim("theorem3_complement",
+          "|S_n(T(k,k);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,k), "
+          "k in {3,4}, n to 9",
+          grid=_grid(_tau_bindings, ((3, 3), (4, 4))), run=_run_theorem3),
+    Claim("theorem4",
+          "|S_n(T(k,m);tau)| = (k-1)^(n-k) for 2 <= m <= k-1, every tau, "
+          "k in {3,4}, n to 9",
+          grid=_grid(_tau_bindings, ((3, 2), (4, 2), (4, 3))), run=_run_theorem4),
+    Claim("catalan",
+          "|S_n({tau})| equals the n-th Catalan number for every "
+          "length-3 tau, n to 8",
+          grid=_grid(_catalan_bindings), run=_run_catalan),
+    Claim("noonan",
+          "exactly-one-123 bucket of the S_n occurrence histogram "
+          "equals (3/n)*C(2n,n+3), n to 8",
+          grid=_grid(_n_from, 3), run=_run_noonan),
+    Claim("bona",
+          "exactly-one-132 bucket of the S_n occurrence histogram "
+          "equals C(2n-3,n-3), n to 8",
+          grid=_grid(_n_from, 3), run=_run_bona),
+    Claim("robertson_single",
+          "|S_n(123;132)| = (n-2)*2^(n-3) via exactly-once counting, n to 8",
+          grid=_grid(_n_from, 3), run=_run_robertson_single),
+    Claim("robertson_both",
+          "permutations with exactly one 123 and one 132 number "
+          "(n-3)(n-4)*2^(n-5), direct filter oracle, n to 8",
+          grid=_grid(_n_from, 5), run=_run_robertson_both),
+)}
+
+ADVISORY_CLAIMS = frozenset(name for name, claim in _CLAIMS.items()
+                            if claim.advisory)
 
 
 def builtin_claims() -> list[Claim]:
     """The registered claims, in deterministic order."""
-    return [
-        Claim(claim_id=name,
-              summary=defn["summary"],
-              advisory=bool(defn.get("advisory", False)))
-        for name, defn in _CLAIM_DEFS.items()
-    ]
+    return list(_CLAIMS.values())
 
 
 def verify_claim(claim_id: str, params: Mapping[str, int | str]) -> VerificationRecord:
     """Run one claim instance: oracle and formula computed independently,
     exact-equality verdict recorded."""
     try:
-        defn = _CLAIM_DEFS[claim_id]
+        claim = _CLAIMS[claim_id]
     except KeyError:
         raise ValueError(f"unknown claim {claim_id!r}; known: "
-                         f"{sorted(_CLAIM_DEFS)}") from None
+                         f"{sorted(_CLAIMS)}") from None
     start = time.perf_counter()
-    oracle, formula = defn["run"](params)
+    oracle, formula = claim.run(params)
     ms = int((time.perf_counter() - start) * 1000)
     return VerificationRecord(
         claim=claim_id,
-        params=_params(params),
+        params=tuple(sorted(params.items())),
         oracle=oracle,
         formula=formula,
         passed=(oracle == formula),
@@ -425,11 +336,11 @@ def _resolve_selection(selection) -> list[str]:
     else:
         names = list(selection)
     if names == ["all"]:
-        return list(_CLAIM_DEFS)
-    unknown = [name for name in names if name not in _CLAIM_DEFS]
+        return list(_CLAIMS)
+    unknown = [name for name in names if name not in _CLAIMS]
     if unknown:
         raise ValueError(f"unknown claim(s) {unknown}; known: "
-                         f"{sorted(_CLAIM_DEFS)}")
+                         f"{sorted(_CLAIMS)}")
     if not names:
         raise ValueError("empty claim selection")
     return names
@@ -447,26 +358,19 @@ def run_suite(selection="all", n_max: int = 9, *, parallel: bool = False,
     if n_max > DESK_SCALE_LIMIT and not force:
         raise ValueError(f"n_max > {DESK_SCALE_LIMIT} needs force=True "
                          "(factorial growth)")
-    names = _resolve_selection(selection)
-    tasks: list[tuple[str, list[dict]]] = []
-    for name in names:
-        for group in _CLAIM_DEFS[name]["groups"](n_max):
-            if group:
-                tasks.append((name, group))
-    records: list[VerificationRecord] = []
-    if parallel and len(tasks) > 1:
+    ids: list[str] = []
+    groups: list[list[dict]] = []
+    for name in _resolve_selection(selection):
+        for group in _CLAIMS[name].grid(n_max):
+            ids.append(name)
+            groups.append(group)
+    if parallel and len(groups) > 1:
         with ProcessPoolExecutor() as pool:
-            for result in pool.map(_run_group_star, tasks):
-                records.extend(result)
+            results = list(pool.map(_run_group, ids, groups))
     else:
-        for claim_id, group in tasks:
-            records.extend(_run_group(claim_id, group))
-    records.sort(key=lambda r: (r.claim, r.params))
-    return records
-
-
-def _run_group_star(task: tuple[str, list[dict]]) -> list[VerificationRecord]:
-    return _run_group(*task)
+        results = list(map(_run_group, ids, groups))
+    return sorted((r for result in results for r in result),
+                  key=lambda r: (r.claim, r.params))
 
 
 def failed_records(records: Iterable[VerificationRecord],

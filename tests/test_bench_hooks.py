@@ -33,6 +33,7 @@ def test_traced_verify_runs_through_the_wrapped_scan(tmp_path):
     assert proc.stdout.strip().endswith("4/4 pass")
     assert totals["enumeration.scan"][0] > 0
     assert totals["verify.claim.robertson_both"][0] == 1
+    assert totals["formulas"][0] == 4  # one formula call per record
 
 
 @pytest.mark.parametrize("argv, output, span", [

@@ -129,6 +129,13 @@ class TestOccurrences:
         assert code == 2
         assert "error" in err
 
+    def test_limit_below_one_exits_2_before_printing(self, capsys):
+        code, out, err = run(capsys, "occurrences", "--host", "1,2",
+                             "--pattern", "1,2", "--limit", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: limit must be a positive integer\n"
+
 
 class TestMap:
     def test_prepend(self, capsys):
@@ -182,6 +189,15 @@ class TestVerify:
         data = json.loads(out_path.read_text())
         assert all(entry["claim"] == "catalan" for entry in data)
         assert str(out_path) in out
+
+    def test_unwritable_report_path_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--claims", "theorem1",
+                             "--n-max", "4", "--out", str(out_path))
+        assert code == 2
+        assert out == "10/10 pass\n"
+        assert err.startswith("error: cannot write the report: ")
+        assert len(err.splitlines()) == 1
 
     def test_failing_record_exits_1(self, capsys, monkeypatch):
         fake = VerificationRecord(claim="theorem1", params=(("n", 5),),

@@ -199,6 +199,13 @@ class TestEnumerateExactlyOnce:
         avoid = build_m(k, m, tau_p)
         assert all(contains_exactly_once(p, tau_p, avoid) for p in out)
 
+    def test_first_member_arrives_without_walking_the_class(self):
+        # S_20(T(4,2); 2143) has 3^16 members; a listing that collected the
+        # class before yielding would not return here.
+        first = next(enumerate_exactly_once(20, 4, 2, parse_compact("2143"),
+                                            force=True))
+        assert first.values == tuple(range(1, 17)) + (18, 17, 20, 19)
+
 
 class TestHistogram:
     def test_n3_profile(self):

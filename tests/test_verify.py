@@ -32,6 +32,31 @@ class TestRegistry:
         assert not by_id["theorem1"].advisory
 
 
+    @pytest.mark.parametrize("n_max, sizes", [
+        (3, [3, 6, 6, 0, 0, 2, 2, 2, 18, 1, 1, 1, 0]),
+        (4, [10, 22, 16, 0, 7, 10, 10, 16, 24, 2, 2, 2, 0]),
+        (9, [70, 102, 16, 36, 81, 50, 50, 86, 48, 6, 6, 6, 4]),
+    ])
+    def test_bindings_per_claim(self, n_max, sizes):
+        claims = builtin_claims()
+        assert [c.claim_id for c in claims] == [
+            "theorem1", "corollary_interval", "corollary_base_constant",
+            "corollary2", "corollary2_onset", "theorem3",
+            "theorem3_complement", "theorem4", "catalan", "noonan", "bona",
+            "robertson_single", "robertson_both"]
+        assert [sum(map(len, c.grid(n_max))) for c in claims] == sizes
+
+    def test_groups_are_nonempty_and_within_n_max(self):
+        for claim in builtin_claims():
+            for group in claim.grid(4):
+                assert group
+                assert all(1 <= p["n"] <= 4 for p in group)
+
+    def test_advisory_set_matches_the_claims(self):
+        assert ADVISORY_CLAIMS == {c.claim_id for c in builtin_claims()
+                                   if c.advisory}
+
+
 class TestVerifyClaim:
     def test_theorem1_binding(self):
         rec = verify_claim("theorem1", {"n": 6, "k": 4, "m": 1})
