@@ -8,12 +8,9 @@ formula against brute force over desk-scale grids.
 
 from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import (
-    OccurrenceList,
     Permutation,
     complement,
     count_occurrences,
-    find_occurrences,
-    flatten,
     iter_occurrences,
     make_permutation,
     parse_compact,

@@ -1,8 +1,7 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error (a failed self-check, an inexact formula division, or an
-occurrence search too deep for the interpreter's recursion limit).
+3 internal error (a failed self-check or an inexact formula division).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import sys
 from itertools import islice
 
 from .bijections import insert_bottom, prepend_insert, remove_bottom
-from .core import count_occurrences, find_occurrences, parse_permutation
+from .core import count_occurrences, iter_occurrences, parse_permutation
 from .enumeration import (
     DESK_SCALE_LIMIT,
     count_avoiders,
@@ -65,11 +64,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_occurrences(args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        raise ValueError("limit must be a positive integer")
     host = parse_permutation(args.host)
     pattern = parse_permutation(args.pattern)
-    listing = find_occurrences(host, pattern, args.limit)
     print(count_occurrences(host, pattern))
-    for pos in listing.positions:
+    for pos in islice(iter_occurrences(host, pattern), args.limit):
         print("(" + ",".join(str(i) for i in pos) + ")")
     return 0
 
@@ -204,8 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
-        # RecursionError is a RuntimeError (the occurrence search recurses
-        # once per pattern slot); none of these may pass for exit 1.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -5,10 +5,11 @@ doubles as a pattern.  An occurrence of a pattern inside a host permutation
 is a strictly increasing tuple of positions whose values appear in the same
 relative order as the pattern's entries.
 
-Occurrence search is a depth-first subsequence walk with two prunings:
-remaining-length (not enough host positions left), and a value window (the
-next matched host value must fall strictly between the tightest already
-matched values below and above the pattern entry being matched).
+Occurrence search is one iterative depth-first subsequence walk,
+`_occurrences`, shared by counting and listing.  It prunes twice: by
+remaining length (not enough host positions left), and by a value window
+(the next matched host value must fall strictly between the tightest
+already matched values below and above the pattern entry being matched).
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Permutation",
-    "OccurrenceList",
     "make_permutation",
-    "flatten",
     "complement",
     "reverse",
     "count_occurrences",
-    "find_occurrences",
     "iter_occurrences",
     "parse_permutation",
     "parse_compact",
@@ -74,50 +72,9 @@ class Permutation:
         return "".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class OccurrenceList:
-    """Occurrences of `pattern` in a host of length `host_length`: 1-based
-    index tuples in lexicographic order.  `truncated` is set when a listing
-    limit cut the enumeration short."""
-
-    pattern: Permutation
-    host_length: int
-    positions: tuple[tuple[int, ...], ...]
-    truncated: bool
-
-    def __post_init__(self) -> None:
-        m = len(self.pattern)
-        for pos in self.positions:
-            if len(pos) != m:
-                raise ValueError("index tuple length must equal pattern length")
-            if any(not 1 <= p <= self.host_length for p in pos):
-                raise ValueError("index out of host range")
-            if any(a >= b for a, b in zip(pos, pos[1:])):
-                raise ValueError("indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
 def make_permutation(values: Iterable[int]) -> Permutation:
     """Validate and build a permutation from any iterable of values."""
     return Permutation(tuple(values))
-
-
-def flatten(word: Iterable[int]) -> Permutation:
-    """The unique permutation order-isomorphic to a distinct-entry word: the
-    entry ranked r among the word's values becomes r.
-
-    flatten((5, 2, 9)) == [2, 1, 3]; flattening a permutation returns it
-    unchanged.
-    """
-    entries = tuple(word)
-    if not entries:
-        raise ValueError("cannot flatten an empty word")
-    rank = {v: r for r, v in enumerate(sorted(entries), start=1)}
-    if len(rank) != len(entries):
-        raise ValueError("word entries must be distinct")
-    return Permutation(tuple(rank[v] for v in entries))
 
 
 def complement(p: Permutation) -> Permutation:
@@ -175,36 +132,58 @@ def _window_refs(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(lower), tuple(upper)
 
 
-def _count_dfs(host: Sequence[int], lower: Sequence[int], upper: Sequence[int],
-               chosen: list[int], first: int, cap: int | None) -> int:
-    """The counting window DFS: occurrences in `host` of pattern slots
-    `first`.. (window refs `lower`/`upper` from `_window_refs`), given the
-    values already matched in chosen[:first].  With `cap`, counting stops
-    early and the result is min(true count, cap)."""
+def _occurrences(host: Sequence[int], lower: Sequence[int], upper: Sequence[int],
+                 chosen: list[int], first: int) -> Iterator[list[int]]:
+    """The one occurrence walk: yield the 1-based host positions of each
+    occurrence of pattern slots `first`.. (window refs `lower`/`upper` from
+    `_window_refs`) in lexicographic order, given the values already matched
+    in chosen[:first].  The yielded list is the walker's own and changes
+    after the consumer resumes it; only its slots `first`.. are meaningful.
+
+    Each slot below the last keeps one resumable scan over the host
+    positions that leave room for the slots after it; the last slot is
+    scanned in one loop that yields every match.
+    """
     n = len(host)
     last = len(lower) - 1
-    count = 0
-
-    def walk(j: int, start: int) -> bool:
-        nonlocal count
+    pos = [0] * (last + 1)
+    scans: list = [None] * last
+    if first < last:
+        scans[first] = iter(range(n - last + first))
+    j = first
+    while j >= first:
         li = lower[j]
         ui = upper[j]
         lo = chosen[li] if li >= 0 else 0
         hi = chosen[ui] if ui >= 0 else _HUGE
-        for p in range(start, n - last + j):
+        if j == last:
+            for p in range(pos[j - 1] if j > first else 0, n):
+                v = host[p]
+                if lo < v < hi:
+                    pos[j] = p + 1
+                    yield pos
+            j -= 1
+            continue
+        for p in scans[j]:
             v = host[p]
             if lo < v < hi:
-                if j == last:
-                    count += 1
-                    if count == cap:
-                        return True
-                else:
-                    chosen[j] = v
-                    if walk(j + 1, p + 1):
-                        return True
-        return False
+                chosen[j] = v
+                pos[j] = p + 1
+                j += 1
+                if j < last:
+                    scans[j] = iter(range(p + 1, n - last + j))
+                break
+        else:
+            j -= 1
 
-    walk(first, 0)
+
+def _count_up_to(walk: Iterator[list[int]], cap: int | None) -> int:
+    """The number of items of `walk`, stopping at `cap` when one is given."""
+    count = 0
+    for _ in walk:
+        count += 1
+        if count == cap:
+            break
     return count
 
 
@@ -216,55 +195,15 @@ def count_occurrences(host: Permutation, pattern: Permutation,
         raise ValueError("cap must be a positive integer")
     pv = pattern.values
     lower, upper = _window_refs(pv)
-    return _count_dfs(host.values, lower, upper, [0] * len(pv), 0, cap)
+    walk = _occurrences(host.values, lower, upper, [0] * len(pv), 0)
+    return _count_up_to(walk, cap)
 
 
 def iter_occurrences(host: Permutation, pattern: Permutation) -> Iterator[tuple[int, ...]]:
     """Yield 1-based occurrence index tuples in lexicographic order."""
-    hv = host.values
     pv = pattern.values
-    m = len(pv)
-    n = len(hv)
-    if m > n:
-        return
     lower, upper = _window_refs(pv)
-    chosen_val = [0] * m
-    chosen_pos = [0] * m
-    last = m - 1
-
-    def walk(j: int, start: int) -> Iterator[tuple[int, ...]]:
-        li = lower[j]
-        ui = upper[j]
-        lo = chosen_val[li] if li >= 0 else 0
-        hi = chosen_val[ui] if ui >= 0 else _HUGE
-        for p in range(start, n - m + j + 1):
-            v = hv[p]
-            if lo < v < hi:
-                chosen_val[j] = v
-                chosen_pos[j] = p + 1
-                if j == last:
-                    yield tuple(chosen_pos)
-                else:
-                    yield from walk(j + 1, p + 1)
-
-    yield from walk(0, 0)
-
-
-def find_occurrences(host: Permutation, pattern: Permutation,
-                     limit: int) -> OccurrenceList:
-    """List up to `limit` occurrences in lexicographic index order;
-    truncated=True exactly when more occurrences exist beyond the limit."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
-    positions: list[tuple[int, ...]] = []
-    truncated = False
-    for pos in iter_occurrences(host, pattern):
-        if len(positions) == limit:
-            truncated = True
-            break
-        positions.append(pos)
-    return OccurrenceList(pattern=pattern, host_length=len(host),
-                          positions=tuple(positions), truncated=truncated)
+    return map(tuple, _occurrences(host.values, lower, upper, [0] * len(pv), 0))
 
 
 class PinnedPattern:
@@ -293,4 +232,5 @@ class PinnedPattern:
             return 1
         # Slot 0 holds the pinned value; the walk overwrites slots 1.. before
         # any window ref reads them.
-        return _count_dfs(prefix, self.lower, self.upper, [value] * m, 1, cap)
+        walk = _occurrences(prefix, self.lower, self.upper, [value] * m, 1)
+        return _count_up_to(walk, cap)

@@ -72,10 +72,6 @@ class Histogram:
         if any(r < 0 or c <= 0 for r, c in self.counts.items()):
             raise ValueError("histogram buckets must be nonzero at r >= 0")
 
-    def as_json_map(self) -> dict[str, str]:
-        """JSON wire form: {"r": "count"} with decimal-string counts."""
-        return {str(r): str(self.counts[r]) for r in sorted(self.counts)}
-
 
 # ---------------------------------------------------------------------------
 # The prefix walker and its rules
@@ -248,17 +244,6 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
     return _count_generic(n, patterns, first_entry)
 
 
-def _exactly_once_params(n: int, k: int, m: int, tau: Permutation) -> None:
-    if k < 2:
-        raise ValueError("exactly-once counting needs k >= 2")
-    if not 1 <= m <= k:
-        raise ValueError(f"m={m} outside 1..{k}")
-    if len(tau) != k:
-        raise ValueError(f"tau must have length k={k}")
-    if tau.values[0] != m:
-        raise ValueError(f"tau must start with m={m}, got {tau}")
-
-
 def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     """Avoid T(k,m) minus tau and contain tau exactly once.
 
@@ -309,7 +294,7 @@ def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     """|S_n(T(k,m); tau)|: permutations avoiding every pattern of T(k,m)
     except tau while containing tau exactly once."""
     _check_n(n, force)
-    _exactly_once_params(n, k, m, tau)
+    build_m(k, m, tau)  # validates k, m and tau
     if first_entry is not None and not 1 <= first_entry <= n:
         raise ValueError(f"first_entry={first_entry} outside 1..{n}")
     return _count_exactly_once_rec(n, k, m, tau.values, first_entry)
@@ -320,7 +305,6 @@ def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     """Stream S_n(T(k,m); tau) in lexicographic order, re-verifying each
     member through `contains_exactly_once`."""
     _check_n(n, force)
-    _exactly_once_params(n, k, m, tau)
     avoid = build_m(k, m, tau)
     for prefix in _walk(n, None, _exactly_once_rule(n, k, m, tau.values)):
         p = Permutation(tuple(prefix))

@@ -36,15 +36,26 @@ def test_traced_verify_runs_through_the_wrapped_scan(tmp_path):
     assert totals["formulas"][0] == 4  # one formula call per record
 
 
-@pytest.mark.parametrize("argv, output, span", [
+@pytest.mark.parametrize("argv, output, calls", [
     (("cli", "count", "--set", "Tkm(4,2)", "-n", "6"), "162",
-     "enumeration.walk_family"),
-    (("count", "6:1324"), "6:1324 513", "enumeration.walk_generic"),
+     {"enumeration.walk_family": 1}),
+    (("count", "6:1324"), "6:1324 513",
+     {"enumeration.walk_generic": 1, "core.pinned": 1824}),
     (("cli", "count", "--set", "M(4,2;2143)", "-n", "6"), "9",
-     "enumeration.walk_exactly_once"),
+     {"enumeration.walk_exactly_once": 1}),
 ], ids=["family", "generic", "exactly_once"])
 def test_traced_count_runs_through_the_wrapped_walker(tmp_path, argv, output,
-                                                      span):
+                                                      calls):
     proc, totals = traced(tmp_path, *argv)
     assert proc.stdout.strip() == output
-    assert totals[span][0] == 1
+    for span, count in calls.items():
+        assert totals[span][0] == count
+
+
+def test_traced_enumerate_guard_runs_through_the_wrapped_kernel(tmp_path):
+    # one avoids_all per member, one capped count per member and pattern
+    proc, totals = traced(tmp_path, "cli", "enumerate", "--set", "Tkm(4,2)",
+                          "-n", "6")
+    assert len(proc.stdout.splitlines()) == 162
+    assert totals["families.avoids_all"][0] == 162
+    assert totals["core.count_occurrences"][0] == 162 * 6

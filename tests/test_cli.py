@@ -123,6 +123,20 @@ class TestOccurrences:
         assert code == 0
         assert out == "1\n(1,2,3)\n"
 
+    def test_pattern_of_1200_entries(self, capsys):
+        # deeper than the interpreter's default recursion limit
+        identity = ",".join(str(v) for v in range(1, 1201))
+        code, out, _ = run(capsys, "occurrences", "--host", identity,
+                           "--pattern", identity)
+        assert code == 0
+        assert out == f"1\n({identity})\n"
+
+    def test_limit_lists_the_first_tuples(self, capsys):
+        code, out, _ = run(capsys, "occurrences", "--host", "1,3,2,4",
+                           "--pattern", "1,2,3", "--limit", "1")
+        assert code == 0
+        assert out == "2\n(1,2,4)\n"
+
     def test_bad_permutation_exits_2(self, capsys):
         code, _, err = run(capsys, "occurrences", "--host", "1,1",
                            "--pattern", "1,2")
