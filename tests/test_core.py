@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from permpat.cli import main
 from permpat.core import (
     Permutation,
     PinnedPattern,
@@ -125,6 +126,15 @@ class TestOccurrences:
     def test_whole_host_occurrence(self):
         got = list(iter_occurrences(Permutation((1, 3, 2)), Permutation((1, 3, 2))))
         assert got == [(1, 2, 3)]
+
+    def test_limit_must_be_positive(self, capsys):
+        # the listing limit is checked where it is read: the occurrences command
+        code = main(["occurrences", "--host", "1,2", "--pattern", "1,2",
+                     "--limit", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: limit must be a positive integer\n"
 
     def test_matches_brute_force_on_random_grid(self):
         rng = random.Random(20240811)
