@@ -19,7 +19,6 @@ from .core import (
 )
 from .enumeration import (
     DESK_SCALE_LIMIT,
-    Histogram,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,

@@ -15,7 +15,8 @@ Two independent computation routes live here on purpose:
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
   each other.  `count_avoiders(exhaustive=True)`, `occurrence_histogram`
-  and the verifier's exactly-one-123-and-one-132 oracle all read it.
+  (a plain {occurrences: permutations} dict) and the verifier's
+  exactly-one-123-and-one-132 oracle all read it.
 
 Nothing is cached between calls, and the listings stream: each permutation is
 yielded as the walk reaches it.  All counts are exact Python integers;
@@ -24,18 +25,15 @@ nothing here touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations as _permutations
 from math import comb, factorial
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .core import Permutation, PinnedPattern
 from .families import PatternSet, avoids_all, build_m, contains_exactly_once
 
 __all__ = [
     "DESK_SCALE_LIMIT",
-    "Histogram",
     "enumerate_avoiders",
     "count_avoiders",
     "count_exactly_once",
@@ -56,23 +54,6 @@ def _check_n(n: int, force: bool) -> None:
             f"{factorial(DESK_SCALE_LIMIT)}); pass force=True to override")
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Distribution of occurrence counts of one pattern over all of S_n;
-    only nonzero buckets are stored, and the buckets sum to n!."""
-
-    pattern: Permutation
-    n: int
-    counts: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        if sum(self.counts.values()) != factorial(self.n):
-            raise ValueError("histogram buckets must sum to n!")
-        if any(r < 0 or c <= 0 for r, c in self.counts.items()):
-            raise ValueError("histogram buckets must be nonzero at r >= 0")
-
-
 # ---------------------------------------------------------------------------
 # The prefix walker and its rules
 # ---------------------------------------------------------------------------
@@ -88,18 +69,14 @@ class Histogram:
 # `_count_exactly_once_rec` stay as thin entry points over `_walk`: the
 # benchmark's trace mode (perfbench/child.py) times each walk under its name.
 
-def _walk(n: int, first_entry: int | None, children) -> Iterator[list[int]]:
+def _walk(n: int, children) -> Iterator[list[int]]:
     """Yield every complete prefix that the rule allows at each step, in
-    lexicographic order.  first_entry keeps only that root child, so the
-    first entry passes the rule like every other.  The yielded list is the
-    walker's own and changes after the consumer resumes it."""
+    lexicographic order.  The yielded list is the walker's own and changes
+    after the consumer resumes it."""
     prefix: list[int] = []
     ranks: list[int] = []
     unused = list(range(1, n + 1))
-    root = children(prefix, unused, None)
-    if first_entry is not None:
-        root = (child for child in root if child[0] == first_entry - 1)
-    stack = [iter(root)]
+    stack = [iter(children(prefix, unused, None))]
     while stack:
         for r, state in stack[-1]:
             prefix.append(unused.pop(r))
@@ -143,25 +120,21 @@ def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
     return children
 
 
-def _count_family(n: int, k: int, ms: tuple[int, ...],
-                  first_entry: int | None) -> int:
+def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
     """Count avoiders of the union of T(k,m) for m in ms."""
-    return sum(1 for _ in _walk(n, first_entry, _family_rule(n, k, ms)))
+    return sum(1 for _ in _walk(n, _family_rule(n, k, ms)))
 
 
-def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...],
-                   first_entry: int | None) -> int:
+def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
     """Count avoiders of an arbitrary pattern list."""
-    return sum(1 for _ in _walk(n, first_entry, _generic_rule(patterns)))
+    return sum(1 for _ in _walk(n, _generic_rule(patterns)))
 
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
-                cap: int | None = None,
-                first_entry: int | None = None
-                ) -> dict[tuple[int, ...] | None, int]:
-    """Unpruned oracle: for every permutation of S_n (or only those starting
-    with first_entry), count the k-subsequences matching each group of
-    length-k patterns, and tally the count vectors.
+                cap: int | None = None) -> dict[tuple[int, ...] | None, int]:
+    """Unpruned oracle: for every permutation of S_n, count the
+    k-subsequences matching each group of length-k patterns, and tally the
+    count vectors.
 
     Groups must be disjoint.  A permutation in which some group reaches
     `cap` occurrences stops being scanned and is tallied under None, so
@@ -175,8 +148,6 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
                 for g, patterns in enumerate(groups) for p in patterns}
     tally: dict[tuple[int, ...] | None, int] = {}
     for perm in _permutations(range(1, n + 1)):
-        if first_entry is not None and perm[0] != first_entry:
-            continue
         counts = [0] * len(groups)
         vector: tuple[int, ...] | None = None
         for sub in combinations(perm, k):
@@ -197,7 +168,7 @@ def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
         rule = _family_rule(n, pattern_set.k, pattern_set.ms)
     else:
         rule = _generic_rule(tuple(p.values for p in pattern_set.patterns))
-    for prefix in _walk(n, None, rule):
+    for prefix in _walk(n, rule):
         yield Permutation(tuple(prefix))
 
 
@@ -220,28 +191,17 @@ def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
 
 
 def count_avoiders(n: int, pattern_set: PatternSet, *,
-                   first_entry: int | None = None,
                    exhaustive: bool = False,
                    force: bool = False) -> int:
     """|S_n(pattern_set)|, by the pruned prefix walk without materializing
-    permutations.
-
-    first_entry restricts to permutations starting with that value (counting
-    over any partition of the first entry sums to the full count).
-    exhaustive switches to the unpruned scan oracle.
-    """
+    permutations; exhaustive switches to the unpruned scan oracle."""
     _check_n(n, force)
-    if first_entry is not None and not 1 <= first_entry <= n:
-        raise ValueError(f"first_entry={first_entry} outside 1..{n}")
-
-    if exhaustive:
-        patterns = tuple(p.values for p in pattern_set.patterns)
-        return _scan_count(n, (patterns,), 1, first_entry).get((0,), 0)
-
-    if pattern_set.kind in ("tkm", "union"):
-        return _count_family(n, pattern_set.k, pattern_set.ms, first_entry)
+    if pattern_set.kind in ("tkm", "union") and not exhaustive:
+        return _count_family(n, pattern_set.k, pattern_set.ms)
     patterns = tuple(p.values for p in pattern_set.patterns)
-    return _count_generic(n, patterns, first_entry)
+    if exhaustive:
+        return _scan_count(n, (patterns,), 1).get((0,), 0)
+    return _count_generic(n, patterns)
 
 
 def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
@@ -281,23 +241,20 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     return children
 
 
-def _count_exactly_once_rec(n: int, k: int, m: int, tau: tuple[int, ...],
-                            first_entry: int | None) -> int:
+def _count_exactly_once_rec(n: int, k: int, m: int,
+                            tau: tuple[int, ...]) -> int:
     """Count permutations avoiding T(k,m) minus tau while containing tau
     exactly once."""
-    return sum(1 for _ in _walk(n, first_entry, _exactly_once_rule(n, k, m, tau)))
+    return sum(1 for _ in _walk(n, _exactly_once_rule(n, k, m, tau)))
 
 
 def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
-                       first_entry: int | None = None,
                        force: bool = False) -> int:
     """|S_n(T(k,m); tau)|: permutations avoiding every pattern of T(k,m)
     except tau while containing tau exactly once."""
     _check_n(n, force)
     build_m(k, m, tau)  # validates k, m and tau
-    if first_entry is not None and not 1 <= first_entry <= n:
-        raise ValueError(f"first_entry={first_entry} outside 1..{n}")
-    return _count_exactly_once_rec(n, k, m, tau.values, first_entry)
+    return _count_exactly_once_rec(n, k, m, tau.values)
 
 
 def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
@@ -306,7 +263,7 @@ def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
     member through `contains_exactly_once`."""
     _check_n(n, force)
     avoid = build_m(k, m, tau)
-    for prefix in _walk(n, None, _exactly_once_rule(n, k, m, tau.values)):
+    for prefix in _walk(n, _exactly_once_rule(n, k, m, tau.values)):
         p = Permutation(tuple(prefix))
         if not contains_exactly_once(p, tau, avoid):
             raise RuntimeError(
@@ -316,10 +273,9 @@ def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
 
 
 def occurrence_histogram(n: int, tau: Permutation, *,
-                         force: bool = False) -> Histogram:
-    """Full distribution of the occurrence count of tau over S_n, by
-    exhaustive unpruned scan (this is the oracle route: no shortcuts)."""
+                         force: bool = False) -> dict[int, int]:
+    """{r: permutations of S_n with exactly r occurrences of tau}, nonzero
+    buckets only, by exhaustive unpruned scan (the oracle route)."""
     _check_n(n, force)
     tally = _scan_count(n, ((tau.values,),))
-    return Histogram(pattern=tau, n=n,
-                     counts={vector[0]: c for vector, c in tally.items()})
+    return {vector[0]: c for vector, c in tally.items()}

@@ -90,6 +90,12 @@ class PatternSet:
         return "{" + ",".join(p.compact() for p in self.patterns) + "}"
 
 
+def _check_k(k: int) -> None:
+    # the builders list all (k-1)! patterns up front, each a digit string
+    if not 2 <= k <= 9:
+        raise ValueError(f"k={k} outside 2..9 (patterns are digit strings)")
+
+
 def _family_patterns(k: int, m: int) -> list[Permutation]:
     rest = [v for v in range(1, k + 1) if v != m]
     return [Permutation((m, *tail)) for tail in _permutations(rest)]
@@ -97,8 +103,7 @@ def _family_patterns(k: int, m: int) -> list[Permutation]:
 
 def build_tkm(k: int, m: int) -> PatternSet:
     """All (k-1)! patterns of length k starting with m."""
-    if k < 2:
-        raise ValueError("pattern sets need k >= 2")
+    _check_k(k)
     if not 1 <= m <= k:
         raise ValueError(f"m={m} outside 1..{k}")
     pats = tuple(sorted(_family_patterns(k, m)))
@@ -107,8 +112,7 @@ def build_tkm(k: int, m: int) -> PatternSet:
 
 def build_m(k: int, m: int, tau: Permutation) -> PatternSet:
     """T(k,m) with the designated pattern tau removed."""
-    if k < 2:
-        raise ValueError("pattern sets need k >= 2")
+    _check_k(k)
     if not 1 <= m <= k:
         raise ValueError(f"m={m} outside 1..{k}")
     if len(tau) != k or tau.values[0] != m:
@@ -119,8 +123,7 @@ def build_m(k: int, m: int, tau: Permutation) -> PatternSet:
 
 def build_union_tkm(k: int, ms: Iterable[int]) -> PatternSet:
     """Union of the families T(k,m) for m in a strictly increasing list."""
-    if k < 2:
-        raise ValueError("pattern sets need k >= 2")
+    _check_k(k)
     ms = tuple(ms)
     if not ms:
         raise ValueError("union needs at least one first-entry value")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -154,13 +155,13 @@ def _run_catalan(p: Mapping) -> tuple[int, int]:
 def _run_noonan(p: Mapping) -> tuple[int, int]:
     n = p["n"]
     hist = occurrence_histogram(n, Permutation((1, 2, 3)))
-    return hist.counts.get(1, 0), noonan(n)
+    return hist.get(1, 0), noonan(n)
 
 
 def _run_bona(p: Mapping) -> tuple[int, int]:
     n = p["n"]
     hist = occurrence_histogram(n, Permutation((1, 3, 2)))
-    return hist.counts.get(1, 0), bona(n)
+    return hist.get(1, 0), bona(n)
 
 
 def _run_robertson_single(p: Mapping) -> tuple[int, int]:
@@ -373,12 +374,11 @@ def run_suite(selection="all", n_max: int = 9, *, parallel: bool = False,
                   key=lambda r: (r.claim, r.params))
 
 
-def failed_records(records: Iterable[VerificationRecord],
-                   include_advisory: bool = False) -> list[VerificationRecord]:
-    """The records that did not pass; advisory claims are excluded unless
-    asked for, since they report findings rather than requirements."""
+def failed_records(records: Iterable[VerificationRecord]) -> list[VerificationRecord]:
+    """The records that did not pass, leaving out advisory claims: they
+    report findings rather than requirements."""
     return [r for r in records
-            if not r.passed and (include_advisory or r.claim not in ADVISORY_CLAIMS)]
+            if not r.passed and r.claim not in ADVISORY_CLAIMS]
 
 
 def _record_json_object(record: VerificationRecord) -> dict:
@@ -395,26 +395,36 @@ def _record_json_object(record: VerificationRecord) -> dict:
 def write_report(records: Iterable[VerificationRecord], format: str,
                  destination: str | Path) -> None:
     """Persist records as JSON (array of objects) or CSV (header row,
-    RFC-4180 quoting); counts are serialized as decimal strings."""
-    records = list(records)
-    path = Path(destination)
-    if format == "json":
-        payload = [_record_json_object(r) for r in records]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    elif format == "csv":
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["claim", "params", "oracle", "formula", "pass", "ms"])
-            for r in records:
-                writer.writerow([
-                    r.claim,
-                    json.dumps(r.params_dict(), sort_keys=True,
-                               separators=(",", ":")),
-                    str(r.oracle),
-                    str(r.formula),
-                    "true" if r.passed else "false",
-                    str(r.ms),
-                ])
-    else:
+    RFC-4180 quoting); counts are serialized as decimal strings.
+
+    The report is written to a temporary file beside the destination and
+    then renamed onto it, so a failed write leaves any earlier report whole.
+    """
+    if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}; use json or csv")
+    path = Path(destination)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        # a plain open, so the new report gets the umask's mode
+        with temp.open("w", encoding="utf-8", newline="") as fh:
+            if format == "json":
+                payload = [_record_json_object(r) for r in records]
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            else:
+                writer = csv.writer(fh)
+                writer.writerow(["claim", "params", "oracle", "formula",
+                                 "pass", "ms"])
+                for r in records:
+                    writer.writerow([
+                        r.claim,
+                        json.dumps(r.params_dict(), sort_keys=True,
+                                   separators=(",", ":")),
+                        str(r.oracle),
+                        str(r.formula),
+                        "true" if r.passed else "false",
+                        str(r.ms),
+                    ])
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

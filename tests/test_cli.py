@@ -45,6 +45,19 @@ class TestCount:
         assert code == 0
         assert out == "1\n"
 
+    def test_family_past_nine_exits_2(self, capsys):
+        code, out, err = run(capsys, "count", "--set", "U(10;1,2)", "-n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: k=10 outside 2..9")
+        assert len(err.splitlines()) == 1
+
+    def test_family_at_nine_counts(self, capsys):
+        # every permutation of S_9 starting with 9 is itself in T(9,9)
+        code, out, _ = run(capsys, "count", "--set", "Tkm(9,9)", "-n", "9")
+        assert code == 0
+        assert out == "322560\n"
+
 
 class TestEnumerate:
     def test_t31(self, capsys):

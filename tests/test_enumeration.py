@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from permpat.core import Permutation, count_occurrences, parse_compact
 from permpat.enumeration import (
-    Histogram,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,
@@ -106,12 +106,16 @@ class TestCountAvoiders:
     ])
     def test_partition_by_first_entry_sums_to_total(self, pattern_set):
         for n in (5, 6, 7):
-            total = count_avoiders(n, pattern_set)
-            parts = [count_avoiders(n, pattern_set, first_entry=v)
-                     for v in range(1, n + 1)]
-            assert sum(parts) == total
-            # any coarser partition gives the same answer
-            assert sum(parts[:3]) + sum(parts[3:]) == total
+            total = count_avoiders(n, pattern_set, exhaustive=True)
+            assert count_avoiders(n, pattern_set) == total
+            # the walk's listing, split by first entry, matches a filter of
+            # S_n part by part, and the parts sum to the scan's total
+            parts = Counter(p.values[0]
+                            for p in enumerate_avoiders(n, pattern_set))
+            assert sum(parts.values()) == total
+            assert parts == Counter(
+                perm[0] for perm in permutations(range(1, n + 1))
+                if avoids_all(Permutation(perm), pattern_set))
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -120,17 +124,13 @@ class TestCountAvoiders:
             count_avoiders(13, adhoc_set([parse_compact("12")]))
         assert count_avoiders(13, adhoc_set([parse_compact("12")]), force=True) == 1
 
-    def test_bad_first_entry(self):
-        with pytest.raises(ValueError):
-            count_avoiders(4, build_tkm(3, 1), first_entry=5)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_first_entry_passes_the_same_rule(self, n):
         # every permutation contains the pattern 1, its first entry included
         ps = adhoc_set([Permutation((1,))])
-        for v in range(1, n + 1):
-            assert count_avoiders(n, ps, first_entry=v) == 0
-            assert count_avoiders(n, ps, first_entry=v, exhaustive=True) == 0
+        assert count_avoiders(n, ps) == 0
+        assert count_avoiders(n, ps, exhaustive=True) == 0
+        assert list(enumerate_avoiders(n, ps)) == []
 
 
 class TestCountExactlyOnce:
@@ -178,12 +178,6 @@ class TestCountExactlyOnce:
         tau_p = parse_compact(tau)
         assert count_exactly_once(n, k, m, tau_p) == self._filter_oracle(n, k, m, tau_p)
 
-    def test_partition_by_first_entry_sums_to_total(self):
-        tau = parse_compact("2314")
-        assert (sum(count_exactly_once(7, 4, 2, tau, first_entry=v)
-                    for v in range(1, 8))
-                == count_exactly_once(7, 4, 2, tau))
-
     def test_guards(self):
         with pytest.raises(ValueError):
             count_exactly_once(0, 3, 1, parse_compact("132"))
@@ -214,39 +208,35 @@ class TestEnumerateExactlyOnce:
 class TestHistogram:
     def test_n3_profile(self):
         hist = occurrence_histogram(3, parse_compact("123"))
-        assert hist.counts == {0: 5, 1: 1}
+        assert hist == {0: 5, 1: 1}
 
     def test_pattern_longer_than_host(self):
         hist = occurrence_histogram(2, parse_compact("123"))
-        assert hist.counts == {0: 2}
+        assert hist == {0: 2}
 
     def test_n4_full_profiles(self):
         # frozen from an independent subsequence scan of all of S_4
-        assert occurrence_histogram(4, parse_compact("123")).counts == {
+        assert occurrence_histogram(4, parse_compact("123")) == {
             0: 14, 1: 6, 2: 3, 4: 1}
-        assert occurrence_histogram(4, parse_compact("132")).counts == {
+        assert occurrence_histogram(4, parse_compact("132")) == {
             0: 14, 1: 5, 2: 4, 3: 1}
 
     @pytest.mark.parametrize("n", [1, 3, 5, 6])
     def test_total_is_factorial_and_zero_bucket_counts_avoiders(self, n):
         for tau in ("123", "231"):
             hist = occurrence_histogram(n, parse_compact(tau))
-            assert sum(hist.counts.values()) == factorial(n)
-            assert (hist.counts.get(0, 0)
+            assert sum(hist.values()) == factorial(n)
+            assert (hist.get(0, 0)
                     == count_avoiders(n, adhoc_set([parse_compact(tau)])))
 
     def test_bucket_r_matches_direct_count(self):
         tau = parse_compact("123")
         hist = occurrence_histogram(5, tau)
-        for r, bucket in hist.counts.items():
+        for r, bucket in hist.items():
             direct = sum(
                 1 for perm in permutations(range(1, 6))
                 if count_occurrences(Permutation(perm), tau) == r)
             assert bucket == direct
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Histogram(pattern=parse_compact("12"), n=3, counts={0: 5})
 
 
 class TestPrefixPruningSoundness:
@@ -296,9 +286,6 @@ class TestRouteAgreement:
             n = rng.randint(1, 7)
             total = count_avoiders(n, ps)
             assert total == count_avoiders(n, ps, exhaustive=True)
-            for v in range(1, n + 1):
-                assert (count_avoiders(n, ps, first_entry=v)
-                        == count_avoiders(n, ps, first_entry=v, exhaustive=True))
             out = list(enumerate_avoiders(n, ps))
             assert all(a < b for a, b in zip(out, out[1:]))
             assert len(out) == total
@@ -314,6 +301,60 @@ class TestRouteAgreement:
                        if brute_contains_exactly_once(p, tau.values)]
             assert list(enumerate_exactly_once(n, k, m, tau)) == members
             assert count_exactly_once(n, k, m, tau) == len(members)
-            for v in range(1, n + 1):
-                assert (count_exactly_once(n, k, m, tau, first_entry=v)
-                        == sum(1 for p in members if p.values[0] == v))
+
+
+@st.composite
+def family_sets(draw):
+    k = draw(st.integers(2, 5))
+    ms = draw(st.lists(st.integers(1, k), min_size=1, max_size=k, unique=True))
+    if len(ms) == 1 and draw(st.booleans()):
+        return build_tkm(k, ms[0])
+    return build_union_tkm(k, sorted(ms))
+
+
+@st.composite
+def adhoc_sets(draw):
+    k = draw(st.integers(1, 4))
+    universe = sorted(permutations(range(1, k + 1)))
+    pats = draw(st.lists(st.sampled_from(universe), min_size=1,
+                         max_size=min(4, len(universe)), unique=True))
+    return adhoc_set(Permutation(p) for p in pats)
+
+
+@st.composite
+def exactly_once_triples(draw):
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(1, k))
+    return k, m, draw(st.sampled_from(build_tkm(k, m).patterns))
+
+
+class TestRouteDifferential:
+    """Every route drawn against every other: the walk, the exhaustive scan
+    and the brute filters of conftest."""
+
+    def _check_avoiders(self, n, ps):
+        total = brute_count_avoiders(n, ps)
+        assert count_avoiders(n, ps) == total
+        assert count_avoiders(n, ps, exhaustive=True) == total
+        out = list(enumerate_avoiders(n, ps))
+        assert all(a < b for a, b in zip(out, out[1:]))
+        assert len(out) == total
+
+    @settings(max_examples=25)
+    @given(family_sets(), st.integers(1, 7))
+    def test_family_routes_agree(self, ps, n):
+        self._check_avoiders(n, ps)
+
+    @settings(max_examples=25)
+    @given(adhoc_sets(), st.integers(1, 7))
+    def test_adhoc_routes_agree(self, ps, n):
+        self._check_avoiders(n, ps)
+
+    @settings(max_examples=25)
+    @given(exactly_once_triples(), st.integers(1, 7))
+    def test_exactly_once_routes_agree(self, triple, n):
+        k, m, tau = triple
+        members = [Permutation(p) for p in permutations(range(1, n + 1))
+                   if brute_contains_exactly_once(p, tau.values)]
+        assert count_exactly_once(n, k, m, tau) == len(members)
+        assert list(enumerate_exactly_once(n, k, m, tau)) == members

@@ -46,6 +46,15 @@ class TestBuildTkm:
         with pytest.raises(ValueError):
             build_tkm(1, 1)
 
+    def test_k_past_the_digits_rejected_before_building(self):
+        # k=10 would list 9! patterns before failing anywhere else
+        with pytest.raises(ValueError, match="k=10 outside 2..9"):
+            build_tkm(10, 1)
+        with pytest.raises(ValueError, match="k=10 outside 2..9"):
+            build_m(10, 1, Permutation(tuple(range(1, 11))))
+        with pytest.raises(ValueError, match="k=10 outside 2..9"):
+            build_union_tkm(10, (1, 2))
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_families_partition_sk(self, k):
         union = set()

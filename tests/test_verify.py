@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -152,11 +153,10 @@ class TestRunSuite:
         records = run_suite("corollary2_onset", 6)
         hard = failed_records(records)
         assert hard == []
-        # the k=4 ms=1,4 probe genuinely fails at n=5; it must be visible
-        # when advisory findings are included
-        soft = failed_records(records, include_advisory=True)
-        assert any(r.params_dict().get("ms") == "1,4" and r.params_dict()["n"] == 5
-                   for r in soft)
+        # the k=4 ms=1,4 probe genuinely fails at n=5; it must stay
+        # visible in the records themselves
+        assert any(not r.passed and r.params_dict().get("ms") == "1,4"
+                   and r.params_dict()["n"] == 5 for r in records)
 
 
 class TestWriteReport:
@@ -198,6 +198,38 @@ class TestWriteReport:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["claim", "params", "oracle", "formula", "pass", "ms"]]
+
+    def test_failed_write_leaves_the_old_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        write_report([self._one_record()], "csv", path)
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class FailsOnSecondRow:
+            def __init__(self, fh):
+                self.inner = real_writer(fh)
+                self.rows = 0
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError("disk full")
+                self.rows += 1
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsOnSecondRow)
+        with pytest.raises(OSError, match="disk full"):
+            write_report([self._one_record()] * 3, "csv", path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["r.csv"]
+
+    def test_new_report_mode_follows_the_umask(self, tmp_path):
+        path = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            write_report([], "json", path)
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
