@@ -10,13 +10,19 @@ Two independent computation routes live here on purpose:
   the rule knows from that rank alone every family occurrence the entry
   starts.  For arbitrary pattern lists the rule is a capped pinned-pattern
   search per member over the occurrences that would END at the appended
-  value (appending a value can create no other occurrence).
+  value (appending a value can create no other occurrence).  The count
+  rule, `_vector_rule`, counts those occurrences per group of patterns,
+  each capped at one past what the group may still take, and reaches an
+  exact count vector: the verifier's noonan and bona oracles (exactly one
+  123, exactly one 132) use it.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
   each other.  `count_avoiders(exhaustive=True)`, `occurrence_histogram`
   (a plain {occurrences: permutations} dict) and the verifier's
-  exactly-one-123-and-one-132 oracle all read it.
+  exactly-one-123-and-one-132 oracle read it.  No verifier claim reads
+  `occurrence_histogram`: it stays for library callers and for the
+  benchmark's trace mode, which wraps it by name.
 
 Nothing is cached between calls, and the listings stream: each permutation is
 yielded as the walk reaches it.  All counts are exact Python integers;
@@ -118,6 +124,42 @@ def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
                 yield r, None
 
     return children
+
+
+def _vector_rule(groups: tuple[tuple[tuple[int, ...], ...], ...],
+                 target: tuple[int, ...]):
+    """Reach an exact occurrence count per group of patterns: the state is
+    the tuple of counts so far (None at the root, meaning all zeros).  Each
+    member adds the occurrences that end at the candidate, counted up to one
+    past what its group has left, so a candidate that takes a group past
+    its target is seen and refused.  The last entry must reach the target.
+    """
+    checks = [(g, PinnedPattern(p).count_ending_at)
+              for g, patterns in enumerate(groups) for p in patterns]
+    zeros = (0,) * len(groups)
+
+    def children(prefix, unused, state):
+        counts = zeros if state is None else state
+        last = len(unused) == 1
+        for r, v in enumerate(unused):
+            child = list(counts)
+            for g, ends_at in checks:
+                child[g] += ends_at(prefix, v, target[g] - child[g] + 1)
+                if child[g] > target[g]:
+                    break
+            else:
+                child = tuple(child)
+                if not last or child == target:
+                    yield r, child
+
+    return children
+
+
+def _count_vector(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
+                  target: tuple[int, ...]) -> int:
+    """Count the permutations of S_n in which group g of patterns (groups
+    disjoint) has exactly target[g] occurrences."""
+    return sum(1 for _ in _walk(n, _vector_rule(groups, target)))
 
 
 def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:

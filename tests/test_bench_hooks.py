@@ -36,6 +36,15 @@ def test_traced_verify_runs_through_the_wrapped_scan(tmp_path):
     assert totals["formulas"][0] == 4  # one formula call per record
 
 
+def test_traced_histogram_claims_walk_instead_of_scanning(tmp_path):
+    proc, totals = traced(tmp_path, "cli", "verify", "--claims", "noonan,bona",
+                          "--n-max", "6")
+    assert proc.stdout.strip().endswith("8/8 pass")
+    assert totals["verify.claim.noonan"][0] == 4
+    assert totals["verify.claim.bona"][0] == 4
+    assert "enumeration.scan" not in totals
+
+
 @pytest.mark.parametrize("argv, output, calls", [
     (("cli", "count", "--set", "Tkm(4,2)", "-n", "6"), "162",
      {"enumeration.walk_family": 1}),

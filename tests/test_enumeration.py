@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from permpat.core import Permutation, count_occurrences, parse_compact
 from permpat.enumeration import (
+    _count_vector,
+    _scan_count,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,
@@ -22,6 +24,7 @@ from permpat.families import (
     build_union_tkm,
     contains_exactly_once,
 )
+from permpat.verify import _count_both_exactly_one
 
 from conftest import (
     brute_contains_exactly_once,
@@ -328,6 +331,20 @@ def exactly_once_triples(draw):
     return k, m, draw(st.sampled_from(build_tkm(k, m).patterns))
 
 
+@st.composite
+def count_vector_queries(draw):
+    """One or two disjoint groups of length-3 or length-4 patterns and a
+    target of 0 to 2 occurrences per group."""
+    k = draw(st.sampled_from([3, 4]))
+    universe = sorted(permutations(range(1, k + 1)))
+    pats = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4,
+                         unique=True))
+    cut = draw(st.integers(0, len(pats) - 1))
+    groups = (tuple(pats[:cut]), tuple(pats[cut:])) if cut else (tuple(pats),)
+    target = tuple(draw(st.integers(0, 2)) for _ in groups)
+    return groups, target
+
+
 class TestRouteDifferential:
     """Every route drawn against every other: the walk, the exhaustive scan
     and the brute filters of conftest."""
@@ -358,3 +375,15 @@ class TestRouteDifferential:
                    if brute_contains_exactly_once(p, tau.values)]
         assert count_exactly_once(n, k, m, tau) == len(members)
         assert list(enumerate_exactly_once(n, k, m, tau)) == members
+
+    @settings(max_examples=50)
+    @given(count_vector_queries(), st.integers(1, 7))
+    def test_vector_routes_agree(self, query, n):
+        groups, target = query
+        scan = _scan_count(n, groups, max(target) + 1)
+        assert _count_vector(n, groups, target) == scan.get(target, 0)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_vector_walk_matches_the_robertson_both_scan(self, n):
+        both = _count_vector(n, (((1, 2, 3),), ((1, 3, 2),)), (1, 1))
+        assert both == _count_both_exactly_one(n)
