@@ -12,7 +12,6 @@ from .core import (
     complement,
     count_occurrences,
     iter_occurrences,
-    make_permutation,
     parse_compact,
     parse_permutation,
     reverse,

@@ -14,6 +14,7 @@ from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import count_occurrences, iter_occurrences, parse_permutation
 from .enumeration import (
     DESK_SCALE_LIMIT,
+    HARD_N_LIMIT,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,
@@ -77,8 +78,7 @@ def _cmd_occurrences(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     selection = "all" if args.claims == "all" else [
         tok.strip() for tok in args.claims.split(",") if tok.strip()]
-    records = run_suite(selection, args.n_max, parallel=args.parallel,
-                        force=args.force)
+    records = run_suite(selection, args.n_max, parallel=args.parallel)
     failures = failed_records(records)
     for rec in failures:
         params = " ".join(f"{k}={v}" for k, v in rec.params)
@@ -136,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    force_help = f"override the n > {DESK_SCALE_LIMIT} desk-scale guard"
+    force_help = (f"override the n > {DESK_SCALE_LIMIT} desk-scale guard, "
+                  f"up to n = {HARD_N_LIMIT}")
 
     p_count = sub.add_parser(
         "count", help="count the permutations selected by a set expression",
@@ -175,8 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="write the report here")
     p_verify.add_argument("--parallel", action="store_true",
                           help="fan claim groups out across processes")
-    p_verify.add_argument("--force", action="store_true",
-                          help=f"allow n-max > {DESK_SCALE_LIMIT}")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_map = sub.add_parser(

@@ -15,11 +15,10 @@ already matched values below and above the pattern entry being matched).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Permutation",
-    "make_permutation",
     "complement",
     "reverse",
     "count_occurrences",
@@ -72,11 +71,6 @@ class Permutation:
         return "".join(str(v) for v in self.values)
 
 
-def make_permutation(values: Iterable[int]) -> Permutation:
-    """Validate and build a permutation from any iterable of values."""
-    return Permutation(tuple(values))
-
-
 def complement(p: Permutation) -> Permutation:
     """Replace each entry v by n+1-v, in place positionally."""
     n = len(p)
@@ -97,7 +91,7 @@ def parse_permutation(text: str) -> Permutation:
         values = [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"not an integer sequence: {text!r}") from None
-    return make_permutation(values)
+    return Permutation(tuple(values))
 
 
 def parse_compact(text: str) -> Permutation:
@@ -109,7 +103,7 @@ def parse_compact(text: str) -> Permutation:
         raise ValueError(f"not a digit-string pattern: {text!r}")
     if "0" in token:
         raise ValueError(f"digit-string patterns use digits 1..9: {text!r}")
-    return make_permutation(int(ch) for ch in token)
+    return Permutation(tuple(int(ch) for ch in token))
 
 
 def _window_refs(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -177,8 +171,10 @@ def _occurrences(host: Sequence[int], lower: Sequence[int], upper: Sequence[int]
             j -= 1
 
 
-def _count_up_to(walk: Iterator[list[int]], cap: int | None) -> int:
+def _count_up_to(walk: Iterator, cap: int | None) -> int:
     """The number of items of `walk`, stopping at `cap` when one is given."""
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be a positive integer")
     count = 0
     for _ in walk:
         count += 1
@@ -191,8 +187,6 @@ def count_occurrences(host: Permutation, pattern: Permutation,
                       cap: int | None = None) -> int:
     """Number of occurrences of `pattern` in `host`; with `cap`, counting
     stops early and the result is min(true count, cap)."""
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be a positive integer")
     pv = pattern.values
     lower, upper = _window_refs(pv)
     walk = _occurrences(host.values, lower, upper, [0] * len(pv), 0)
@@ -225,12 +219,12 @@ class PinnedPattern:
         self.lower, self.upper = _window_refs(pv[-1:] + pv[:-1])
 
     def count_ending_at(self, prefix: Sequence[int], value: int, cap: int) -> int:
-        """Occurrences, up to `cap`, whose last entry is `value` appended
-        after `prefix` (a sequence of distinct values)."""
+        """Occurrences, up to `cap` (at least 1), whose last entry is `value`
+        appended after `prefix` (a sequence of distinct values)."""
         m = self.length
-        if m == 1:
-            return 1
         # Slot 0 holds the pinned value; the walk overwrites slots 1.. before
-        # any window ref reads them.
-        walk = _occurrences(prefix, self.lower, self.upper, [value] * m, 1)
+        # any window ref reads them.  A length-1 pattern has one occurrence,
+        # the pinned value alone.
+        walk = (_occurrences(prefix, self.lower, self.upper, [value] * m, 1)
+                if m > 1 else iter(((value,),)))
         return _count_up_to(walk, cap)

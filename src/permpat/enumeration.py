@@ -18,8 +18,8 @@ Two independent computation routes live here on purpose:
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
-  each other.  `count_avoiders(exhaustive=True)`, `occurrence_histogram`
-  (a plain {occurrences: permutations} dict) and the verifier's
+  each other.  The tests' avoider oracle, `occurrence_histogram` (a plain
+  {occurrences: permutations} dict) and the verifier's
   exactly-one-123-and-one-132 oracle read it.  No verifier claim reads
   `occurrence_histogram`: it stays for library callers and for the
   benchmark's trace mode, which wraps it by name.
@@ -48,11 +48,17 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 12
+# force stops here: the family and exactly-once rules build n-by-n tables
+# before they walk, about 2 s and 120 MB at n=2000 for k=9.
+HARD_N_LIMIT = 2000
 
 
 def _check_n(n: int, force: bool) -> None:
     if n < 1:
         raise ValueError(f"n={n}; this module requires n >= 1")
+    if n > HARD_N_LIMIT:
+        raise ValueError(f"n={n} exceeds the hard limit {HARD_N_LIMIT}; "
+                         "force does not lift it")
     if n > DESK_SCALE_LIMIT and not force:
         raise ValueError(
             f"n={n} exceeds the desk-scale limit {DESK_SCALE_LIMIT}: the "
@@ -233,17 +239,14 @@ def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
 
 
 def count_avoiders(n: int, pattern_set: PatternSet, *,
-                   exhaustive: bool = False,
                    force: bool = False) -> int:
     """|S_n(pattern_set)|, by the pruned prefix walk without materializing
-    permutations; exhaustive switches to the unpruned scan oracle."""
+    permutations.  The tests check it against the unpruned scan,
+    `_scan_count(n, (patterns,), 1).get((0,), 0)`."""
     _check_n(n, force)
-    if pattern_set.kind in ("tkm", "union") and not exhaustive:
+    if pattern_set.kind in ("tkm", "union"):
         return _count_family(n, pattern_set.k, pattern_set.ms)
-    patterns = tuple(p.values for p in pattern_set.patterns)
-    if exhaustive:
-        return _scan_count(n, (patterns,), 1).get((0,), 0)
-    return _count_generic(n, patterns)
+    return _count_generic(n, tuple(p.values for p in pattern_set.patterns))
 
 
 def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):

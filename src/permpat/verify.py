@@ -349,18 +349,19 @@ def _resolve_selection(selection) -> list[str]:
     return names
 
 
-def run_suite(selection="all", n_max: int = 9, *, parallel: bool = False,
-              force: bool = False) -> list[VerificationRecord]:
+def run_suite(selection="all", n_max: int = 9, *,
+              parallel: bool = False) -> list[VerificationRecord]:
     """Verify every binding of the selected claims up to n_max.
 
-    Records come back sorted by claim id and then binding, so the output
-    order never depends on execution order or on the parallel flag.
+    n_max runs 1..DESK_SCALE_LIMIT; no grid passes n=9.  Records come back
+    sorted by claim id and then binding, so the output order never depends
+    on execution order or on the parallel flag.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > DESK_SCALE_LIMIT and not force:
-        raise ValueError(f"n_max > {DESK_SCALE_LIMIT} needs force=True "
-                         "(factorial growth)")
+    if n_max > DESK_SCALE_LIMIT:
+        raise ValueError(f"n_max must be <= {DESK_SCALE_LIMIT}; every "
+                         f"claim's grid stops at n={_ENUM_CAP} or below")
     ids: list[str] = []
     groups: list[list[dict]] = []
     for name in _resolve_selection(selection):

@@ -12,6 +12,8 @@ from itertools import combinations, permutations
 
 from hypothesis import settings
 
+from permpat.enumeration import _scan_count
+
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
@@ -44,6 +46,13 @@ def brute_count_avoiders(n: int, pattern_set) -> int:
         1 for perm in permutations(range(1, n + 1))
         if not brute_contains_any(perm, keys, k)
     )
+
+
+def scan_count_avoiders(n: int, pattern_set) -> int:
+    """|S_n(pattern_set)| by the package's unpruned scan oracle, which
+    shares none of the pruned walk's machinery."""
+    patterns = tuple(p.values for p in pattern_set.patterns)
+    return _scan_count(n, (patterns,), 1).get((0,), 0)
 
 
 def brute_contains_exactly_once(perm_values, tau_values) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -57,6 +58,35 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--set", "Tkm(9,9)", "-n", "9")
         assert code == 0
         assert out == "322560\n"
+
+
+class TestForcedN:
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("set_expr", ["{132}", "Tkm(4,2)", "M(4,2;2143)"])
+    @pytest.mark.parametrize("n", [str(enumeration.HARD_N_LIMIT + 1),
+                                   "4611686018427387904", "99999999999999999999"])
+    def test_past_the_hard_limit_exits_2(self, capsys, command, set_expr, n):
+        # --force lifts the desk-scale guard but not the hard limit, which is
+        # checked before any rule builds its tables
+        code, out, err = run(capsys, command, "--set", set_expr, "-n", n,
+                             "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: n={n} exceeds the hard limit ")
+        assert len(err.splitlines()) == 1
+
+    def test_only_count_and_enumerate_take_force(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-max", "13", "--force")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --force" in err
+        code, out, err = run(capsys, "verify", "--n-max", "13")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_max must be <= 12")
+        assert run(capsys, "count", "--set", "{12}", "-n", "13",
+                   "--force") == (0, "1\n", "")
+        assert run(capsys, "enumerate", "--set", "{12}", "-n", "13",
+                   "--force") == (0, ",".join(map(str, range(13, 0, -1))) + "\n", "")
 
 
 class TestEnumerate:
@@ -256,6 +286,24 @@ class TestUsage:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "Tkm(k,m)" in out
+
+    def test_option_surface(self):
+        # Pins every subcommand's options: a new flag shows up here as a
+        # test diff, and each one needs a caller.
+        parser = cli._build_parser()
+        (commands,) = [action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        surface = {name: [s for action in sub._actions
+                          for s in action.option_strings or [action.dest]]
+                   for name, sub in commands.items()}
+        assert surface == {
+            "count": ["-h", "--help", "--set", "-n", "--force"],
+            "enumerate": ["-h", "--help", "--set", "-n", "--limit", "--force"],
+            "occurrences": ["-h", "--help", "--host", "--pattern", "--limit"],
+            "verify": ["-h", "--help", "--claims", "--n-max", "--format",
+                       "--out", "--parallel"],
+            "map": ["-h", "--help", "which", "--beta", "--alpha", "--h"],
+        }
 
     def test_subcommand_help_documents_grammar(self, capsys):
         assert main(["count", "--help"]) == 0

@@ -11,7 +11,6 @@ from permpat.core import (
     complement,
     count_occurrences,
     iter_occurrences,
-    make_permutation,
     parse_compact,
     parse_permutation,
     reverse,
@@ -35,35 +34,37 @@ def patterns(draw, max_m=4):
 
 
 class TestMakePermutation:
+    """Building a Permutation from its values validates them."""
+
     def test_identity_case(self):
-        assert make_permutation([1]).values == (1,)
+        assert Permutation((1,)).values == (1,)
 
     def test_order_preserved(self):
-        assert make_permutation((2, 1, 3)).values == (2, 1, 3)
+        assert Permutation((2, 1, 3)).values == (2, 1, 3)
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            make_permutation((2, 2, 1))
+            Permutation((2, 2, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            make_permutation((1, 3))
+            Permutation((1, 3))
         with pytest.raises(ValueError, match="outside"):
-            make_permutation((0, 1))
+            Permutation((0, 1))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            make_permutation(())
+            Permutation(())
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
-            make_permutation((True, 2))
+            Permutation((True, 2))
 
     def test_str_is_comma_separated(self):
-        assert str(make_permutation((2, 1, 3))) == "2,1,3"
+        assert str(Permutation((2, 1, 3))) == "2,1,3"
 
     def test_compact(self):
-        assert make_permutation((2, 1, 4, 3)).compact() == "2143"
+        assert Permutation((2, 1, 4, 3)).compact() == "2143"
 
 
 class TestSymmetries:
@@ -183,6 +184,13 @@ class TestPinnedPattern:
                     if pos[-1] == t + 1)
         got = PinnedPattern(pattern.values).count_ending_at(prefix, value, cap)
         assert got == min(cap, brute)
+
+    @pytest.mark.parametrize("pattern", [(1, 2), (1,)])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_must_be_positive(self, pattern, cap):
+        # a cap below 1 once counted every occurrence ending at the value
+        with pytest.raises(ValueError, match="cap must be a positive"):
+            PinnedPattern(pattern).count_ending_at((1, 2, 3), 4, cap)
 
 
 class TestParsing:

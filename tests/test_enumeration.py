@@ -30,6 +30,7 @@ from conftest import (
     brute_contains_exactly_once,
     brute_count_avoiders,
     brute_flatten,
+    scan_count_avoiders,
 )
 
 
@@ -100,7 +101,7 @@ class TestCountAvoiders:
     ])
     @pytest.mark.parametrize("n", [5, 6])
     def test_exhaustive_flag_agrees(self, n, pattern_set):
-        assert (count_avoiders(n, pattern_set, exhaustive=True)
+        assert (scan_count_avoiders(n, pattern_set)
                 == count_avoiders(n, pattern_set))
 
     @pytest.mark.parametrize("pattern_set", [
@@ -109,7 +110,7 @@ class TestCountAvoiders:
     ])
     def test_partition_by_first_entry_sums_to_total(self, pattern_set):
         for n in (5, 6, 7):
-            total = count_avoiders(n, pattern_set, exhaustive=True)
+            total = scan_count_avoiders(n, pattern_set)
             assert count_avoiders(n, pattern_set) == total
             # the walk's listing, split by first entry, matches a filter of
             # S_n part by part, and the parts sum to the scan's total
@@ -132,7 +133,7 @@ class TestCountAvoiders:
         # every permutation contains the pattern 1, its first entry included
         ps = adhoc_set([Permutation((1,))])
         assert count_avoiders(n, ps) == 0
-        assert count_avoiders(n, ps, exhaustive=True) == 0
+        assert scan_count_avoiders(n, ps) == 0
         assert list(enumerate_avoiders(n, ps)) == []
 
 
@@ -269,7 +270,7 @@ class TestRouteAgreement:
             ps = adhoc_set(Permutation(p) for p in pats)
             n = rng.randint(1, 6)
             assert (count_avoiders(n, ps)
-                    == count_avoiders(n, ps, exhaustive=True))
+                    == scan_count_avoiders(n, ps))
 
     def test_every_walker_rule_against_the_scan(self):
         rng = random.Random(3)
@@ -288,7 +289,7 @@ class TestRouteAgreement:
         for ps in sets:
             n = rng.randint(1, 7)
             total = count_avoiders(n, ps)
-            assert total == count_avoiders(n, ps, exhaustive=True)
+            assert total == scan_count_avoiders(n, ps)
             out = list(enumerate_avoiders(n, ps))
             assert all(a < b for a, b in zip(out, out[1:]))
             assert len(out) == total
@@ -352,7 +353,7 @@ class TestRouteDifferential:
     def _check_avoiders(self, n, ps):
         total = brute_count_avoiders(n, ps)
         assert count_avoiders(n, ps) == total
-        assert count_avoiders(n, ps, exhaustive=True) == total
+        assert scan_count_avoiders(n, ps) == total
         out = list(enumerate_avoiders(n, ps))
         assert all(a < b for a, b in zip(out, out[1:]))
         assert len(out) == total

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import permpat.verify as verify
 from permpat.verify import (
     ADVISORY_CLAIMS,
     VerificationRecord,
@@ -120,6 +121,15 @@ class TestRunSuite:
             run_suite("theorem1", 13)
         with pytest.raises(ValueError):
             run_suite("theorem1", 0)
+
+    @pytest.mark.parametrize("claim", [c.claim_id for c in builtin_claims()])
+    def test_n_max_past_nine_adds_no_binding(self, claim, monkeypatch):
+        # Every grid stops at n=9 or below, so the largest n_max allowed runs
+        # the bindings of n_max=9.  The stub record skips only the counting.
+        monkeypatch.setattr(verify, "verify_claim", lambda claim_id, params:
+                            VerificationRecord(claim_id, tuple(sorted(params.items())),
+                                               0, 0, True, 0))
+        assert run_suite(claim, 12) == run_suite(claim, 9)
 
     def test_records_sorted_deterministically(self):
         records = run_suite(["theorem1", "catalan"], 6)
