@@ -38,13 +38,8 @@ values, e.g. "2,1,3".
 
 def _cmd_count(args: argparse.Namespace) -> int:
     pattern_set = parse_set_expression(args.set)
-    if pattern_set.kind == "mkm":
-        assert pattern_set.tau is not None
-        value = count_exactly_once(args.n, pattern_set.k, pattern_set.ms[0],
-                                   pattern_set.tau, force=args.force)
-    else:
-        value = count_avoiders(args.n, pattern_set, force=args.force)
-    print(value)
+    count = count_exactly_once if pattern_set.kind == "mkm" else count_avoiders
+    print(count(args.n, pattern_set, force=args.force))
     return 0
 
 
@@ -52,14 +47,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError("limit must be a positive integer")
     pattern_set = parse_set_expression(args.set)
-    if pattern_set.kind == "mkm":
-        assert pattern_set.tau is not None
-        stream = enumerate_exactly_once(args.n, pattern_set.k,
-                                        pattern_set.ms[0], pattern_set.tau,
-                                        force=args.force)
-    else:
-        stream = enumerate_avoiders(args.n, pattern_set, force=args.force)
-    for perm in islice(stream, args.limit):
+    listing = (enumerate_exactly_once if pattern_set.kind == "mkm"
+               else enumerate_avoiders)
+    for perm in islice(listing(args.n, pattern_set, force=args.force),
+                       args.limit):
         print(perm)
     return 0
 

@@ -24,19 +24,22 @@ Two independent computation routes live here on purpose:
   `occurrence_histogram`: it stays for library callers and for the
   benchmark's trace mode, which wraps it by name.
 
-Nothing is cached between calls, and the listings stream: each permutation is
-yielded as the walk reaches it.  All counts are exact Python integers;
-nothing here touches floating point.
+Every entry point takes the class's one `PatternSet`; the exactly-once ones
+take an M(k,m;tau) set and read k, m and tau from it.  Nothing is cached
+between calls.  The listings check their arguments when called, then stream:
+each permutation is re-verified and yielded as the walk reaches it.  All
+counts are exact Python integers; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as _permutations
+from itertools import chain, combinations, permutations as _permutations
 from math import comb, factorial
 from typing import Iterator
 
 from .core import Permutation, PinnedPattern
-from .families import PatternSet, avoids_all, build_m, contains_exactly_once
+from .families import (PatternSet, _exactly_once_tau, avoids_all,
+                       contains_exactly_once)
 
 __all__ = [
     "DESK_SCALE_LIMIT",
@@ -48,8 +51,8 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 12
-# force stops here: the family and exactly-once rules build n-by-n tables
-# before they walk, about 2 s and 120 MB at n=2000 for k=9.
+# force stops here: the exactly-once rule builds an n-by-n table before it
+# walks, about 0.8 s and 120 MB at n=2000 for k=9.
 HARD_N_LIMIT = 2000
 
 
@@ -108,8 +111,11 @@ def _walk(n: int, children) -> Iterator[list[int]]:
 def _family_rule(n: int, k: int, ms: tuple[int, ...]):
     """Avoid the union of T(k,m) for m in ms: an entry with s smaller and l
     larger later entries starts an occurrence iff s >= m-1 and l >= k-m for
-    some m in ms, whatever order the later entries take."""
-    allowed = [[(r, None) for r in range(later + 1)
+    some m in ms, whatever order the later entries take.  With s and l both
+    >= k-1 it starts one for every m, so only the other ranks are tested."""
+    allowed = [[(r, None)
+                for r in chain(range(min(k - 1, later + 1)),
+                               range(max(k - 1, later - k + 2), later + 1))
                 if all(r < m - 1 or later - r < k - m for m in ms)]
                for later in range(n)]
     return lambda prefix, unused, state: allowed[len(unused) - 1]
@@ -212,7 +218,7 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
     """Yield avoiders in lexicographic order."""
-    if pattern_set.kind in ("tkm", "union"):
+    if pattern_set.kind == "union":
         rule = _family_rule(n, pattern_set.k, pattern_set.ms)
     else:
         rule = _generic_rule(tuple(p.values for p in pattern_set.patterns))
@@ -224,18 +230,24 @@ def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
 # Public operations
 # ---------------------------------------------------------------------------
 
+def _guarded(members: Iterator[Permutation], check,
+             pattern_set: PatternSet) -> Iterator[Permutation]:
+    """Yield each member after re-verifying it as check(p, pattern_set), a
+    guard against rule bugs."""
+    for p in members:
+        if not check(p, pattern_set):
+            raise RuntimeError(f"enumerated {p} fails {check.__name__} "
+                               f"for {pattern_set.label()}")
+        yield p
+
+
 def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
                        force: bool = False) -> Iterator[Permutation]:
     """Stream every permutation of S_n avoiding all patterns in the set, in
-    lexicographic order.  Each emitted permutation is re-verified through
-    `avoids_all` as a guard against checker bugs."""
+    lexicographic order, each re-verified through `avoids_all`.  The
+    arguments are checked at the call, before anything is iterated."""
     _check_n(n, force)
-    for p in _iter_avoiders(n, pattern_set):
-        if not avoids_all(p, pattern_set):
-            raise RuntimeError(
-                f"enumerated {p} fails avoids_all for "
-                f"{pattern_set.label()}")
-        yield p
+    return _guarded(_iter_avoiders(n, pattern_set), avoids_all, pattern_set)
 
 
 def count_avoiders(n: int, pattern_set: PatternSet, *,
@@ -244,7 +256,7 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
     permutations.  The tests check it against the unpruned scan,
     `_scan_count(n, (patterns,), 1).get((0,), 0)`."""
     _check_n(n, force)
-    if pattern_set.kind in ("tkm", "union"):
+    if pattern_set.kind == "union":
         return _count_family(n, pattern_set.k, pattern_set.ms)
     return _count_generic(n, tuple(p.values for p in pattern_set.patterns))
 
@@ -293,28 +305,26 @@ def _count_exactly_once_rec(n: int, k: int, m: int,
     return sum(1 for _ in _walk(n, _exactly_once_rule(n, k, m, tau)))
 
 
-def count_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
+def count_exactly_once(n: int, pattern_set: PatternSet, *,
                        force: bool = False) -> int:
-    """|S_n(T(k,m); tau)|: permutations avoiding every pattern of T(k,m)
-    except tau while containing tau exactly once."""
+    """|S_n(T(k,m); tau)| for the set M(k,m;tau): permutations avoiding its
+    members while containing tau exactly once."""
     _check_n(n, force)
-    build_m(k, m, tau)  # validates k, m and tau
-    return _count_exactly_once_rec(n, k, m, tau.values)
+    tau = _exactly_once_tau(pattern_set)
+    return _count_exactly_once_rec(n, pattern_set.k, pattern_set.ms[0],
+                                   tau.values)
 
 
-def enumerate_exactly_once(n: int, k: int, m: int, tau: Permutation, *,
+def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
                            force: bool = False) -> Iterator[Permutation]:
-    """Stream S_n(T(k,m); tau) in lexicographic order, re-verifying each
-    member through `contains_exactly_once`."""
+    """Stream S_n(T(k,m); tau) for the set M(k,m;tau) in lexicographic
+    order, each member re-verified through `contains_exactly_once`.  The
+    arguments are checked at the call, before anything is iterated."""
     _check_n(n, force)
-    avoid = build_m(k, m, tau)
-    for prefix in _walk(n, _exactly_once_rule(n, k, m, tau.values)):
-        p = Permutation(tuple(prefix))
-        if not contains_exactly_once(p, tau, avoid):
-            raise RuntimeError(
-                f"enumerated {p} fails contains_exactly_once "
-                f"for tau={tau}")
-        yield p
+    tau = _exactly_once_tau(pattern_set)
+    rule = _exactly_once_rule(n, pattern_set.k, pattern_set.ms[0], tau.values)
+    members = (Permutation(tuple(prefix)) for prefix in _walk(n, rule))
+    return _guarded(members, contains_exactly_once, pattern_set)
 
 
 def occurrence_histogram(n: int, tau: Permutation, *,

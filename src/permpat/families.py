@@ -1,10 +1,11 @@
 """Pattern families built from a common length k.
 
 The central family is T(k,m): every length-k pattern whose first entry is m,
-of which there are (k-1)!.  Deleting one designated pattern tau from T(k,m)
-gives the M-type set used for "avoid the rest, contain tau exactly once"
-counting, and unions of T(k,m) over several m cover the interval/union
-counting results.
+of which there are (k-1)!.  A `PatternSet` is the one description of a
+class: a union of T(k,m) over several m (T(k,m) itself is the one-entry
+union), M(k,m;tau) = T(k,m) minus tau for "avoid the rest, contain tau
+exactly once" counting, or an ad hoc list.  Construction checks that its
+patterns are exactly what its ms and tau say.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ __all__ = [
 class PatternSet:
     """A finite set of patterns of one common length k, with provenance.
 
-    kind is one of "tkm", "mkm", "union", "adhoc".  For "tkm" and "union",
-    `ms` holds the first-entry values; for "mkm", `tau` is the removed
-    pattern (and ms the single first-entry value both share).
+    kind is one of "union", "mkm", "adhoc".  A "union" set is the union of
+    T(k,m) for the m in `ms`; an "mkm" set is T(k,m) minus `tau`, with
+    ms = (m,); an "adhoc" set is an explicit list with neither ms nor tau.
     """
 
     k: int
@@ -45,32 +46,37 @@ class PatternSet:
     tau: Permutation | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("tkm", "mkm", "union", "adhoc"):
+        if self.kind not in ("union", "mkm", "adhoc"):
             raise ValueError(f"unknown provenance kind {self.kind!r}")
-        for p in self.patterns:
-            if len(p) != self.k:
-                raise ValueError("all patterns in a set must have length k")
-        if len(set(self.patterns)) != len(self.patterns):
-            raise ValueError("patterns must be pairwise distinct")
-        if tuple(sorted(self.patterns)) != self.patterns:
-            raise ValueError("patterns must be stored in sorted order")
-        if self.kind == "tkm":
-            (m,) = self.ms
-            if len(self.patterns) != factorial(self.k - 1):
-                raise ValueError("T(k,m) must contain exactly (k-1)! patterns")
-            if any(p.values[0] != m for p in self.patterns):
-                raise ValueError("T(k,m) patterns must all start with m")
-        elif self.kind == "mkm":
-            if self.tau is None:
-                raise ValueError("M-type set needs its removed pattern")
-            (m,) = self.ms
-            if len(self.patterns) != factorial(self.k - 1) - 1:
-                raise ValueError("M-type set must contain (k-1)!-1 patterns")
-            if self.tau in self.patterns:
+        pats = self.patterns
+        if any(len(p) != self.k for p in pats):
+            raise ValueError("all patterns in a set must share one length k")
+        if any(a >= b for a, b in zip(pats, pats[1:])):
+            raise ValueError("patterns must be distinct and in sorted order")
+        if self.kind == "adhoc":
+            if self.ms or self.tau is not None:
+                raise ValueError("an ad hoc set has neither ms nor tau")
+            return
+        removed = self.kind == "mkm"
+        if not removed and self.tau is not None:
+            raise ValueError("only an M-type set has a removed pattern tau")
+        k, ms, tau = self.k, self.ms, self.tau
+        _check_ms(k, ms)
+        if removed:
+            if len(ms) != 1:
+                raise ValueError("an M-type set has exactly one m")
+            if tau is None or len(tau) != k or tau.values[0] != ms[0]:
+                raise ValueError(f"tau must lie in T({k},{ms[0]})")
+            if tau in pats:
                 raise ValueError("removed pattern must not be a member")
-        elif self.kind == "union":
-            if not self.ms or list(self.ms) != sorted(set(self.ms)):
-                raise ValueError("union needs strictly increasing first entries")
+        # Exactly |ms|*(k-1)! distinct length-k patterns start with an m in
+        # ms, so that many distinct members that all do (one fewer, and tau
+        # not among them, for M) are the whole union (or T(k,m) minus tau).
+        firsts = set(ms)
+        if any(p.values[0] not in firsts for p in pats):
+            raise ValueError("every pattern must start with an m in ms")
+        if len(pats) != len(ms) * factorial(k - 1) - removed:
+            raise ValueError("the set must hold every pattern of its families")
 
     def __iter__(self):
         return iter(self.patterns)
@@ -80,12 +86,12 @@ class PatternSet:
 
     def label(self) -> str:
         """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)"."""
-        if self.kind == "tkm":
-            return f"Tkm({self.k},{self.ms[0]})"
         if self.kind == "mkm":
             assert self.tau is not None
             return f"M({self.k},{self.ms[0]};{self.tau.compact()})"
-        if self.kind == "union":
+        if len(self.ms) == 1:
+            return f"Tkm({self.k},{self.ms[0]})"
+        if self.ms:
             return f"U({self.k};{','.join(str(m) for m in self.ms)})"
         return "{" + ",".join(p.compact() for p in self.patterns) + "}"
 
@@ -96,27 +102,26 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k={k} outside 2..9 (patterns are digit strings)")
 
 
+def _check_ms(k: int, ms: tuple[int, ...]) -> None:
+    if not ms or any(a >= b for a, b in zip((0, *ms), (*ms, k + 1))):
+        raise ValueError(f"first entries {list(ms)} must be nonempty and "
+                         f"strictly increasing within 1..{k}")
+
+
 def _family_patterns(k: int, m: int) -> list[Permutation]:
     rest = [v for v in range(1, k + 1) if v != m]
     return [Permutation((m, *tail)) for tail in _permutations(rest)]
 
 
 def build_tkm(k: int, m: int) -> PatternSet:
-    """All (k-1)! patterns of length k starting with m."""
-    _check_k(k)
-    if not 1 <= m <= k:
-        raise ValueError(f"m={m} outside 1..{k}")
-    pats = tuple(sorted(_family_patterns(k, m)))
-    return PatternSet(k=k, patterns=pats, kind="tkm", ms=(m,))
+    """All (k-1)! patterns of length k starting with m: the one-entry union."""
+    return build_union_tkm(k, (m,))
 
 
 def build_m(k: int, m: int, tau: Permutation) -> PatternSet:
     """T(k,m) with the designated pattern tau removed."""
     _check_k(k)
-    if not 1 <= m <= k:
-        raise ValueError(f"m={m} outside 1..{k}")
-    if len(tau) != k or tau.values[0] != m:
-        raise ValueError(f"tau must lie in T({k},{m})")
+    _check_ms(k, (m,))
     pats = tuple(sorted(p for p in _family_patterns(k, m) if p != tau))
     return PatternSet(k=k, patterns=pats, kind="mkm", ms=(m,), tau=tau)
 
@@ -125,12 +130,7 @@ def build_union_tkm(k: int, ms: Iterable[int]) -> PatternSet:
     """Union of the families T(k,m) for m in a strictly increasing list."""
     _check_k(k)
     ms = tuple(ms)
-    if not ms:
-        raise ValueError("union needs at least one first-entry value")
-    if list(ms) != sorted(set(ms)):
-        raise ValueError("first-entry values must be strictly increasing")
-    if ms[0] < 1 or ms[-1] > k:
-        raise ValueError(f"first-entry values outside 1..{k}")
+    _check_ms(k, ms)
     pats: list[Permutation] = []
     for m in ms:
         pats.extend(_family_patterns(k, m))
@@ -142,12 +142,7 @@ def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
     pats = tuple(sorted(patterns))
     if not pats:
         raise ValueError("ad hoc pattern set must be nonempty")
-    k = len(pats[0])
-    if any(len(p) != k for p in pats):
-        raise ValueError("mixed-length pattern sets are not supported")
-    if len(set(pats)) != len(pats):
-        raise ValueError("duplicate pattern in set")
-    return PatternSet(k=k, patterns=pats, kind="adhoc")
+    return PatternSet(k=len(pats[0]), patterns=pats, kind="adhoc")
 
 
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
@@ -155,17 +150,18 @@ def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
     return all(count_occurrences(p, pat, cap=1) == 0 for pat in pattern_set.patterns)
 
 
-def contains_exactly_once(p: Permutation, tau: Permutation,
-                          avoid: PatternSet) -> bool:
-    """True when `p` avoids every pattern in `avoid` and contains `tau`
-    exactly once.  `avoid` must be the M-type set belonging to tau, or an
-    ad hoc set."""
-    if avoid.kind == "mkm":
-        if avoid.tau != tau:
-            raise ValueError("avoid set was built for a different tau")
-    elif avoid.kind != "adhoc":
-        raise ValueError("avoid set must be M-type or ad hoc")
-    if not avoids_all(p, avoid):
+def _exactly_once_tau(pattern_set: PatternSet) -> Permutation:
+    """The tau of an M(k,m;tau) set; ValueError for any other set."""
+    if pattern_set.tau is None:
+        raise ValueError(f"{pattern_set.label()} is not an M(k,m;tau) set")
+    return pattern_set.tau
+
+
+def contains_exactly_once(p: Permutation, pattern_set: PatternSet) -> bool:
+    """True when `p` is in the class of the M(k,m;tau) set: it avoids every
+    member and contains tau exactly once."""
+    tau = _exactly_once_tau(pattern_set)
+    if not avoids_all(p, pattern_set):
         return False
     return count_occurrences(p, tau, cap=2) == 1
 

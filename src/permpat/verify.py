@@ -41,7 +41,7 @@ from .enumeration import (
     # by name, so --trace 1 fails with AttributeError without this import.
     occurrence_histogram,
 )
-from .families import adhoc_set, build_tkm, build_union_tkm
+from .families import adhoc_set, build_m, build_tkm, build_union_tkm
 from .formulas import (
     bona,
     catalan,
@@ -138,14 +138,14 @@ def _run_corollary2(p: Mapping) -> tuple[int, int]:
 def _run_theorem3(p: Mapping) -> tuple[int, int]:
     n, k, m = p["n"], p["k"], p["m"]
     tau = parse_compact(p["tau"])
-    return (count_exactly_once(n, k, m, tau),
+    return (count_exactly_once(n, build_m(k, m, tau)),
             formula_theorem3(n, k))
 
 
 def _run_theorem4(p: Mapping) -> tuple[int, int]:
     n, k, m = p["n"], p["k"], p["m"]
     tau = parse_compact(p["tau"])
-    return (count_exactly_once(n, k, m, tau),
+    return (count_exactly_once(n, build_m(k, m, tau)),
             formula_theorem4(n, k, m))
 
 
@@ -168,7 +168,7 @@ def _run_bona(p: Mapping) -> tuple[int, int]:
 
 def _run_robertson_single(p: Mapping) -> tuple[int, int]:
     n = p["n"]
-    return (count_exactly_once(n, 3, 1, Permutation((1, 3, 2))),
+    return (count_exactly_once(n, build_m(3, 1, Permutation((1, 3, 2)))),
             robertson_single(n))
 
 

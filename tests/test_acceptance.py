@@ -183,13 +183,13 @@ def test_criterion_6_intro_cross_checks(records):
         assert failed_records(records) == []
 
 
-def _exactly_once_class(n, k, m, tau, avoid, first_value=None):
+def _exactly_once_class(n, avoid, first_value=None):
     members = []
     for perm in permutations(range(1, n + 1)):
         if first_value is not None and perm[0] != first_value:
             continue
         p = Permutation(perm)
-        if contains_exactly_once(p, tau, avoid):
+        if contains_exactly_once(p, avoid):
             members.append(p)
     return members
 
@@ -227,8 +227,7 @@ def test_criterion_7_bijection_properties():
             for tau in build_tkm(k, 1).patterns:
                 avoid = build_m(k, 1, tau)
                 a_sets = {
-                    n: _exactly_once_class(n, k, 1, tau, avoid,
-                                           first_value=n - k + 1)
+                    n: _exactly_once_class(n, avoid, first_value=n - k + 1)
                     for n in range(k, 9)
                 }
                 for n in range(k, 9):

@@ -1,8 +1,10 @@
 import argparse
+import inspect
 import json
 
 import pytest
 
+import permpat
 import permpat.cli as cli
 import permpat.enumeration as enumeration
 from permpat.cli import main
@@ -304,6 +306,27 @@ class TestUsage:
                        "--out", "--parallel"],
             "map": ["-h", "--help", "which", "--beta", "--alpha", "--h"],
         }
+
+    def test_package_surface(self):
+        # Pins the public names of `import permpat` the same way: an API
+        # change shows up here as a test diff.
+        names = sorted(name for name in dir(permpat) if not name.startswith("_")
+                       and not inspect.ismodule(getattr(permpat, name)))
+        assert names == [
+            "ADVISORY_CLAIMS", "Claim", "DESK_SCALE_LIMIT", "PatternSet",
+            "Permutation", "VerificationRecord", "adhoc_set", "avoids_all",
+            "bona", "build_m", "build_tkm", "build_union_tkm",
+            "builtin_claims", "catalan", "complement", "contains_exactly_once",
+            "count_avoiders", "count_exactly_once", "count_occurrences",
+            "enumerate_avoiders", "enumerate_exactly_once", "failed_records",
+            "formula_corollary_interval", "formula_theorem1",
+            "formula_theorem3", "formula_theorem4", "insert_bottom",
+            "iter_occurrences", "noonan", "occurrence_histogram",
+            "parse_compact", "parse_permutation", "parse_set_expression",
+            "prepend_insert", "recurrence_coefficient", "remove_bottom",
+            "reverse", "robertson_both", "robertson_single", "run_suite",
+            "verify_claim", "write_report",
+        ]
 
     def test_subcommand_help_documents_grammar(self, capsys):
         assert main(["count", "--help"]) == 0

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from permpat.core import Permutation, count_occurrences, parse_compact
 from permpat.enumeration import (
+    DESK_SCALE_LIMIT,
+    HARD_N_LIMIT,
     _count_vector,
+    _family_rule,
     _scan_count,
     count_avoiders,
     count_exactly_once,
@@ -75,6 +78,45 @@ class TestEnumerateAvoiders:
             list(enumerate_avoiders(0, build_tkm(3, 1)))
 
 
+class TestListingsCheckTheirArguments:
+    """Both listings raise when called, before any item is asked for."""
+
+    @pytest.mark.parametrize("n, force, match", [
+        (0, False, "n >= 1"),
+        (DESK_SCALE_LIMIT + 1, False, "desk-scale"),
+        (HARD_N_LIMIT + 1, False, "hard limit"),
+        (HARD_N_LIMIT + 1, True, "hard limit"),
+    ])
+    @pytest.mark.parametrize("listing, pattern_set", [
+        (enumerate_avoiders, build_tkm(3, 1)),
+        (enumerate_exactly_once, build_m(3, 1, parse_compact("132"))),
+    ], ids=["avoiders", "exactly_once"])
+    def test_n_is_checked_at_the_call(self, listing, pattern_set, n, force,
+                                      match):
+        with pytest.raises(ValueError, match=match):
+            listing(n, pattern_set, force=force)
+
+    def test_exactly_once_needs_an_m_set_at_the_call(self):
+        with pytest.raises(ValueError, match="not an M"):
+            enumerate_exactly_once(5, build_tkm(3, 1))
+
+
+class TestFamilyRuleTable:
+    def test_matches_every_rank_tested(self):
+        # the reference tests every rank of every row, O(n^2 * |ms|)
+        for k in range(2, 7):
+            for size in range(1, k + 1):
+                for ms in combinations(range(1, k + 1), size):
+                    for n in range(1, 15):
+                        rule = _family_rule(n, k, ms)
+                        got = [rule([], [0] * (later + 1), None)
+                               for later in range(n)]
+                        assert got == [
+                            [(r, None) for r in range(later + 1)
+                             if all(r < m - 1 or later - r < k - m for m in ms)]
+                            for later in range(n)], (k, ms, n)
+
+
 class TestCountAvoiders:
     def test_known_counts(self):
         assert count_avoiders(5, build_tkm(3, 1)) == 16
@@ -139,8 +181,8 @@ class TestCountAvoiders:
 
 class TestCountExactlyOnce:
     def test_known_values(self):
-        assert count_exactly_once(4, 3, 1, parse_compact("132")) == 4
-        assert count_exactly_once(3, 3, 2, parse_compact("231")) == 1
+        assert count_exactly_once(4, build_m(3, 1, parse_compact("132"))) == 4
+        assert count_exactly_once(3, build_m(3, 2, parse_compact("231"))) == 1
 
     @pytest.mark.parametrize("k, m, tau", [
         (3, 1, "123"), (3, 1, "132"), (3, 2, "213"), (3, 3, "321"),
@@ -148,21 +190,20 @@ class TestCountExactlyOnce:
     ])
     def test_at_n_equals_k_single_witness(self, k, m, tau):
         # the single member is tau itself
-        assert count_exactly_once(k, k, m, parse_compact(tau)) == 1
+        assert count_exactly_once(k, build_m(k, m, parse_compact(tau))) == 1
 
     def test_tau_must_start_with_m(self):
         with pytest.raises(ValueError):
-            count_exactly_once(4, 3, 1, parse_compact("213"))
+            count_exactly_once(4, build_m(3, 1, parse_compact("213")))
 
     def test_tau_must_have_length_k(self):
         with pytest.raises(ValueError):
-            count_exactly_once(4, 3, 1, parse_compact("12"))
+            count_exactly_once(4, build_m(3, 1, parse_compact("12")))
 
-    def _filter_oracle(self, n, k, m, tau):
-        avoid = build_m(k, m, tau)
+    def _filter_oracle(self, n, avoid):
         return sum(
             1 for perm in permutations(range(1, n + 1))
-            if contains_exactly_once(Permutation(perm), tau, avoid)
+            if contains_exactly_once(Permutation(perm), avoid)
         )
 
     @pytest.mark.parametrize("k, m", [(3, 1), (3, 2), (3, 3),
@@ -170,8 +211,8 @@ class TestCountExactlyOnce:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_direct_filter(self, n, k, m):
         for tau in build_tkm(k, m).patterns:
-            assert (count_exactly_once(n, k, m, tau)
-                    == self._filter_oracle(n, k, m, tau))
+            avoid = build_m(k, m, tau)
+            assert count_exactly_once(n, avoid) == self._filter_oracle(n, avoid)
 
     @pytest.mark.parametrize("n, k, m, tau", [
         (8, 3, 1, "132"),
@@ -179,14 +220,23 @@ class TestCountExactlyOnce:
         (7, 4, 1, "1234"),
     ])
     def test_matches_direct_filter_larger_spots(self, n, k, m, tau):
-        tau_p = parse_compact(tau)
-        assert count_exactly_once(n, k, m, tau_p) == self._filter_oracle(n, k, m, tau_p)
+        avoid = build_m(k, m, parse_compact(tau))
+        assert count_exactly_once(n, avoid) == self._filter_oracle(n, avoid)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            count_exactly_once(0, 3, 1, parse_compact("132"))
+            count_exactly_once(0, build_m(3, 1, parse_compact("132")))
         with pytest.raises(ValueError):
-            count_exactly_once(13, 3, 1, parse_compact("132"))
+            count_exactly_once(13, build_m(3, 1, parse_compact("132")))
+
+    @pytest.mark.parametrize("pattern_set", [
+        build_tkm(3, 1), build_union_tkm(3, (1, 2)), adhoc_set([parse_compact("132")]),
+    ], ids=["tkm", "union", "adhoc"])
+    def test_takes_only_an_m_set(self, pattern_set):
+        with pytest.raises(ValueError, match="not an M"):
+            count_exactly_once(5, pattern_set)
+        with pytest.raises(ValueError, match="not an M"):
+            contains_exactly_once(Permutation((1, 3, 2)), pattern_set)
 
 
 class TestEnumerateExactlyOnce:
@@ -194,18 +244,17 @@ class TestEnumerateExactlyOnce:
         (5, 3, 1, "132"), (5, 3, 2, "231"), (6, 4, 2, "2143"),
     ])
     def test_matches_count_and_membership(self, n, k, m, tau):
-        tau_p = parse_compact(tau)
-        out = list(enumerate_exactly_once(n, k, m, tau_p))
+        avoid = build_m(k, m, parse_compact(tau))
+        out = list(enumerate_exactly_once(n, avoid))
         assert out == sorted(out)
-        assert len(out) == count_exactly_once(n, k, m, tau_p)
-        avoid = build_m(k, m, tau_p)
-        assert all(contains_exactly_once(p, tau_p, avoid) for p in out)
+        assert len(out) == count_exactly_once(n, avoid)
+        assert all(contains_exactly_once(p, avoid) for p in out)
 
     def test_first_member_arrives_without_walking_the_class(self):
         # S_20(T(4,2); 2143) has 3^16 members; a listing that collected the
         # class before yielding would not return here.
-        first = next(enumerate_exactly_once(20, 4, 2, parse_compact("2143"),
-                                            force=True))
+        avoid = build_m(4, 2, parse_compact("2143"))
+        first = next(enumerate_exactly_once(20, avoid, force=True))
         assert first.values == tuple(range(1, 17)) + (18, 17, 20, 19)
 
 
@@ -303,8 +352,9 @@ class TestRouteAgreement:
             n = rng.randint(1, 7)
             members = [Permutation(p) for p in permutations(range(1, n + 1))
                        if brute_contains_exactly_once(p, tau.values)]
-            assert list(enumerate_exactly_once(n, k, m, tau)) == members
-            assert count_exactly_once(n, k, m, tau) == len(members)
+            avoid = build_m(k, m, tau)
+            assert list(enumerate_exactly_once(n, avoid)) == members
+            assert count_exactly_once(n, avoid) == len(members)
 
 
 @st.composite
@@ -326,10 +376,10 @@ def adhoc_sets(draw):
 
 
 @st.composite
-def exactly_once_triples(draw):
+def m_sets(draw):
     k = draw(st.integers(2, 4))
     m = draw(st.integers(1, k))
-    return k, m, draw(st.sampled_from(build_tkm(k, m).patterns))
+    return build_m(k, m, draw(st.sampled_from(build_tkm(k, m).patterns)))
 
 
 @st.composite
@@ -369,13 +419,12 @@ class TestRouteDifferential:
         self._check_avoiders(n, ps)
 
     @settings(max_examples=25)
-    @given(exactly_once_triples(), st.integers(1, 7))
-    def test_exactly_once_routes_agree(self, triple, n):
-        k, m, tau = triple
+    @given(m_sets(), st.integers(1, 7))
+    def test_exactly_once_routes_agree(self, avoid, n):
         members = [Permutation(p) for p in permutations(range(1, n + 1))
-                   if brute_contains_exactly_once(p, tau.values)]
-        assert count_exactly_once(n, k, m, tau) == len(members)
-        assert list(enumerate_exactly_once(n, k, m, tau)) == members
+                   if brute_contains_exactly_once(p, avoid.tau.values)]
+        assert count_exactly_once(n, avoid) == len(members)
+        assert list(enumerate_exactly_once(n, avoid)) == members
 
     @settings(max_examples=50)
     @given(count_vector_queries(), st.integers(1, 7))

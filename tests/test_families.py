@@ -103,6 +103,10 @@ class TestBuildUnion:
     def test_single_m_matches_tkm(self):
         assert set(build_union_tkm(4, (2,)).patterns) == set(build_tkm(4, 2).patterns)
 
+    def test_tkm_is_the_one_entry_union(self):
+        assert build_tkm(4, 2) == build_union_tkm(4, (2,))
+        assert build_tkm(4, 2).label() == "Tkm(4,2)"
+
     def test_rejects_bad_ms(self):
         with pytest.raises(ValueError):
             build_union_tkm(3, ())
@@ -131,6 +135,50 @@ class TestAdhoc:
                        kind="adhoc")
 
 
+def _perms(*texts):
+    return tuple(parse_compact(t) for t in texts)
+
+
+class TestSetConsistency:
+    """A family set is checked whole: its patterns must be exactly what its
+    ms and tau describe."""
+
+    def test_union_whose_ms_disagree_with_its_patterns(self):
+        with pytest.raises(ValueError, match="start with an m in ms"):
+            PatternSet(k=3, patterns=_perms("123"), kind="union", ms=(2,))
+
+    def test_union_missing_one_pattern(self):
+        full = build_union_tkm(4, (1, 3))
+        with pytest.raises(ValueError, match="every pattern of its families"):
+            PatternSet(k=4, patterns=full.patterns[1:], kind="union", ms=(1, 3))
+
+    def test_m_set_whose_patterns_do_not_start_with_m(self):
+        with pytest.raises(ValueError, match="start with an m in ms"):
+            PatternSet(k=3, patterns=_perms("213"), kind="mkm", ms=(1,),
+                       tau=parse_compact("132"))
+
+    def test_m_set_whose_tau_starts_elsewhere(self):
+        with pytest.raises(ValueError, match=r"tau must lie in T\(3,1\)"):
+            PatternSet(k=3, patterns=_perms("123"), kind="mkm", ms=(1,),
+                       tau=parse_compact("231"))
+
+    def test_m_set_with_two_first_entries(self):
+        with pytest.raises(ValueError, match="exactly one m"):
+            PatternSet(k=3, patterns=_perms("123", "132", "213"), kind="mkm",
+                       ms=(1, 2), tau=parse_compact("231"))
+
+    @pytest.mark.parametrize("kind, ms, tau", [
+        ("tkm", (1,), None),
+        ("union", (1,), "132"),
+        ("adhoc", (1,), None),
+        ("union", (1, 4), None),
+    ])
+    def test_other_contradictions(self, kind, ms, tau):
+        with pytest.raises(ValueError):
+            PatternSet(k=3, patterns=_perms("123", "132"), kind=kind, ms=ms,
+                       tau=None if tau is None else parse_compact(tau))
+
+
 class TestPredicates:
     def test_avoids_decreasing(self):
         assert avoids_all(Permutation((3, 2, 1)), build_tkm(3, 1))
@@ -143,31 +191,16 @@ class TestPredicates:
 
     def test_exactly_once_basic(self):
         avoid = build_m(3, 1, parse_compact("132"))
-        assert contains_exactly_once(Permutation((1, 3, 2)),
-                                     parse_compact("132"), avoid)
-        assert not contains_exactly_once(Permutation((1, 2, 3)),
-                                         parse_compact("132"), avoid)
+        assert contains_exactly_once(Permutation((1, 3, 2)), avoid)
+        assert not contains_exactly_once(Permutation((1, 2, 3)), avoid)
 
     def test_exactly_once_231(self):
         avoid = build_m(3, 2, parse_compact("231"))
-        assert contains_exactly_once(Permutation((2, 3, 1)),
-                                     parse_compact("231"), avoid)
-
-    def test_exactly_once_adhoc_avoid_allowed(self):
-        avoid = adhoc_set([parse_compact("123")])
-        assert contains_exactly_once(Permutation((1, 3, 2)),
-                                     parse_compact("132"), avoid)
-
-    def test_exactly_once_rejects_mismatched_m_set(self):
-        avoid = build_m(3, 1, parse_compact("132"))
-        with pytest.raises(ValueError):
-            contains_exactly_once(Permutation((1, 3, 2)),
-                                  parse_compact("123"), avoid)
+        assert contains_exactly_once(Permutation((2, 3, 1)), avoid)
 
     def test_exactly_once_rejects_tkm_set(self):
         with pytest.raises(ValueError):
-            contains_exactly_once(Permutation((1, 3, 2)),
-                                  parse_compact("132"), build_tkm(3, 1))
+            contains_exactly_once(Permutation((1, 3, 2)), build_tkm(3, 1))
 
     def test_every_long_permutation_contains_a_length3_pattern(self):
         # monotone-subsequence sanity bound, brute-verified at k=3, n=5
