@@ -55,12 +55,6 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __getitem__(self, index: int) -> int:
-        return self.values[index]
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.values)
 

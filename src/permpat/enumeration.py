@@ -11,10 +11,10 @@ Two independent computation routes live here on purpose:
   starts.  For arbitrary pattern lists the rule is a capped pinned-pattern
   search per member over the occurrences that would END at the appended
   value (appending a value can create no other occurrence).  The count
-  rule, `_vector_rule`, counts those occurrences per group of patterns,
-  each capped at one past what the group may still take, and reaches an
-  exact count vector: the verifier's noonan and bona oracles (exactly one
-  123, exactly one 132) use it.
+  rule, `_exactly_rule`, sums those occurrences over the list, each capped
+  at one past what the target leaves, and reaches an exact count: the
+  verifier's noonan and bona oracles (exactly one 123, exactly one 132)
+  use it.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
@@ -138,40 +138,35 @@ def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
     return children
 
 
-def _vector_rule(groups: tuple[tuple[tuple[int, ...], ...], ...],
-                 target: tuple[int, ...]):
-    """Reach an exact occurrence count per group of patterns: the state is
-    the tuple of counts so far (None at the root, meaning all zeros).  Each
-    member adds the occurrences that end at the candidate, counted up to one
-    past what its group has left, so a candidate that takes a group past
-    its target is seen and refused.  The last entry must reach the target.
-    """
-    checks = [(g, PinnedPattern(p).count_ending_at)
-              for g, patterns in enumerate(groups) for p in patterns]
-    zeros = (0,) * len(groups)
+def _exactly_rule(patterns: tuple[tuple[int, ...], ...], target: int):
+    """Reach exactly `target` occurrences of a pattern list: the state is
+    the count so far (None at the root, meaning 0).  Each member adds the
+    occurrences that end at the candidate, counted up to one past what is
+    left, so a candidate that goes past the target is seen and refused.
+    The last entry must reach the target."""
+    checks = [PinnedPattern(p).count_ending_at for p in patterns]
 
     def children(prefix, unused, state):
-        counts = zeros if state is None else state
+        count = state or 0
         last = len(unused) == 1
         for r, v in enumerate(unused):
-            child = list(counts)
-            for g, ends_at in checks:
-                child[g] += ends_at(prefix, v, target[g] - child[g] + 1)
-                if child[g] > target[g]:
+            child = count
+            for ends_at in checks:
+                child += ends_at(prefix, v, target - child + 1)
+                if child > target:
                     break
             else:
-                child = tuple(child)
                 if not last or child == target:
                     yield r, child
 
     return children
 
 
-def _count_vector(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
-                  target: tuple[int, ...]) -> int:
-    """Count the permutations of S_n in which group g of patterns (groups
-    disjoint) has exactly target[g] occurrences."""
-    return sum(1 for _ in _walk(n, _vector_rule(groups, target)))
+def _count_exactly(n: int, patterns: tuple[tuple[int, ...], ...],
+                   target: int) -> int:
+    """Count the permutations of S_n with exactly `target` occurrences of
+    the patterns, all taken together."""
+    return sum(1 for _ in _walk(n, _exactly_rule(patterns, target)))
 
 
 def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:

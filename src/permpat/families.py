@@ -78,9 +78,6 @@ class PatternSet:
         if len(pats) != len(ms) * factorial(k - 1) - removed:
             raise ValueError("the set must hold every pattern of its families")
 
-    def __iter__(self):
-        return iter(self.patterns)
-
     def __len__(self) -> int:
         return len(self.patterns)
 

@@ -23,17 +23,17 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations as _combinations, groupby as _groupby
 from itertools import permutations as _permutations
 from math import factorial
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .core import Permutation, parse_compact
 from .enumeration import (
     DESK_SCALE_LIMIT,
-    _count_vector,
+    _count_exactly,
     _scan_count,
     count_avoiders,
     count_exactly_once,
@@ -75,12 +75,13 @@ _SCAN_CAP = 8
 
 @dataclass(frozen=True)
 class Claim:
-    """A verifiable statement: its grid maps n_max to groups of bindings,
-    and its runner maps one binding to (oracle value, formula value)."""
+    """A verifiable statement: `bindings` returns its parameter bindings up
+    to the claim's own ceiling, computed only when called, and `run` maps
+    one binding to (oracle value, formula value)."""
 
     claim_id: str
     summary: str
-    grid: Callable[[int], list[list[dict]]]
+    bindings: Callable[[], list[dict]]
     run: Callable[[Mapping], tuple[int, int]]
     advisory: bool = False
 
@@ -158,12 +159,12 @@ def _run_catalan(p: Mapping) -> tuple[int, int]:
 
 def _run_noonan(p: Mapping) -> tuple[int, int]:
     n = p["n"]
-    return _count_vector(n, (((1, 2, 3),),), (1,)), noonan(n)
+    return _count_exactly(n, ((1, 2, 3),), 1), noonan(n)
 
 
 def _run_bona(p: Mapping) -> tuple[int, int]:
     n = p["n"]
-    return _count_vector(n, (((1, 3, 2),),), (1,)), bona(n)
+    return _count_exactly(n, ((1, 3, 2),), 1), bona(n)
 
 
 def _run_robertson_single(p: Mapping) -> tuple[int, int]:
@@ -178,26 +179,8 @@ def _run_robertson_both(p: Mapping) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Binding grids.  A group of bindings is what one worker process runs under
-# --parallel.
+# Binding lists, each up to its claim's own ceiling.
 # ---------------------------------------------------------------------------
-
-def _grid(bindings: Callable[..., list[dict]], *args, group=None):
-    """The grid over bindings(*args): for a given n_max, the bindings with
-    n <= n_max, grouped into runs of consecutive bindings that differ only
-    in n, or with `group`, that agree on group(binding).  bindings is
-    called only when the grid is asked for."""
-
-    def grid(n_max: int) -> list[list[dict]]:
-        kept = [p for p in bindings(*args) if p["n"] <= n_max]
-        return [list(run) for _, run in _groupby(kept, group or _all_but_n)]
-
-    return grid
-
-
-def _all_but_n(p: dict) -> list:
-    return [value for name, value in p.items() if name != "n"]
-
 
 def _theorem1_bindings() -> list[dict]:
     return [{"k": k, "m": m, "n": n} for k in (3, 4, 5)
@@ -248,55 +231,55 @@ def _n_from(first: int) -> list[dict]:
 _CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
     Claim("theorem1",
           "|S_n(T(k,m))| = (k-2)!*(k-1)^(n+2-k), k in {3,4,5}, all m, n to 9",
-          grid=_grid(_theorem1_bindings), run=_run_theorem1),
+          bindings=_theorem1_bindings, run=_run_theorem1),
     Claim("corollary_interval",
           "|S_n(T(k,a) u..u T(k,b))| = (k-1)!*(k+a-b-1)^(n+1-k), k in {3,4}, n to 9",
-          grid=_grid(_interval_bindings), run=_run_corollary_interval),
+          bindings=_interval_bindings, run=_run_corollary_interval),
     Claim("corollary_base_constant",
           "base case n=k of the interval union: adjudicates (k+a-b-1) "
           "against the rival constant (k+a-b+1) carried in params",
-          grid=_grid(_base_constant_bindings, group=itemgetter("k")),
-          run=_run_corollary_interval),
+          bindings=_base_constant_bindings, run=_run_corollary_interval),
     Claim("corollary2",
           "general union recurrence |S_n| = (k+i1-id-1)*|S_(n-1)| for "
           "n >= 2k+1, every nonempty index subset, k in {3,4}",
-          grid=_grid(_corollary2_bindings), run=_run_corollary2),
+          bindings=_corollary2_bindings, run=_run_corollary2),
     Claim("corollary2_onset",
           "advisory probe: where the union recurrence first holds "
           "inside k+1..2k (reported, not judged)",
-          grid=_grid(_onset_bindings), run=_run_corollary2,
+          bindings=_onset_bindings, run=_run_corollary2,
           advisory=True),
     Claim("theorem3",
           "|S_n(T(k,1);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,1), "
           "k in {3,4}, n to 9",
-          grid=_grid(_tau_bindings, ((3, 1), (4, 1))), run=_run_theorem3),
+          bindings=partial(_tau_bindings, ((3, 1), (4, 1))), run=_run_theorem3),
     Claim("theorem3_complement",
           "|S_n(T(k,k);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,k), "
           "k in {3,4}, n to 9",
-          grid=_grid(_tau_bindings, ((3, 3), (4, 4))), run=_run_theorem3),
+          bindings=partial(_tau_bindings, ((3, 3), (4, 4))), run=_run_theorem3),
     Claim("theorem4",
           "|S_n(T(k,m);tau)| = (k-1)^(n-k) for 2 <= m <= k-1, every tau, "
           "k in {3,4}, n to 9",
-          grid=_grid(_tau_bindings, ((3, 2), (4, 2), (4, 3))), run=_run_theorem4),
+          bindings=partial(_tau_bindings, ((3, 2), (4, 2), (4, 3))),
+          run=_run_theorem4),
     Claim("catalan",
           "|S_n({tau})| equals the n-th Catalan number for every "
           "length-3 tau, n to 8",
-          grid=_grid(_catalan_bindings), run=_run_catalan),
+          bindings=_catalan_bindings, run=_run_catalan),
     Claim("noonan",
           "permutations with exactly one 123, counted by a prefix walk "
           "capped at two occurrences, number (3/n)*C(2n,n+3), n to 8",
-          grid=_grid(_n_from, 3), run=_run_noonan),
+          bindings=partial(_n_from, 3), run=_run_noonan),
     Claim("bona",
           "permutations with exactly one 132, counted by a prefix walk "
           "capped at two occurrences, number C(2n-3,n-3), n to 8",
-          grid=_grid(_n_from, 3), run=_run_bona),
+          bindings=partial(_n_from, 3), run=_run_bona),
     Claim("robertson_single",
           "|S_n(123;132)| = (n-2)*2^(n-3) via exactly-once counting, n to 8",
-          grid=_grid(_n_from, 3), run=_run_robertson_single),
+          bindings=partial(_n_from, 3), run=_run_robertson_single),
     Claim("robertson_both",
           "permutations with exactly one 123 and one 132 number "
           "(n-3)(n-4)*2^(n-5), direct filter oracle, n to 8",
-          grid=_grid(_n_from, 5), run=_run_robertson_both),
+          bindings=partial(_n_from, 5), run=_run_robertson_both),
 )}
 
 ADVISORY_CLAIMS = frozenset(name for name, claim in _CLAIMS.items()
@@ -327,6 +310,10 @@ def verify_claim(claim_id: str, params: Mapping[str, int | str]) -> Verification
         passed=(oracle == formula),
         ms=ms,
     )
+
+
+def _all_but_n(p: dict) -> list:
+    return [value for name, value in p.items() if name != "n"]
 
 
 def _run_group(claim_id: str, group: list[dict]) -> list[VerificationRecord]:
@@ -362,12 +349,15 @@ def run_suite(selection="all", n_max: int = 9, *,
     if n_max > DESK_SCALE_LIMIT:
         raise ValueError(f"n_max must be <= {DESK_SCALE_LIMIT}; every "
                          f"claim's grid stops at n={_ENUM_CAP} or below")
+    # One group, the bindings of a claim that differ only in n, is what one
+    # worker process runs under parallel.
     ids: list[str] = []
     groups: list[list[dict]] = []
     for name in _resolve_selection(selection):
-        for group in _CLAIMS[name].grid(n_max):
+        kept = [p for p in _CLAIMS[name].bindings() if p["n"] <= n_max]
+        for _, group in _groupby(kept, _all_but_n):
             ids.append(name)
-            groups.append(group)
+            groups.append(list(group))
     if parallel and len(groups) > 1:
         with ProcessPoolExecutor() as pool:
             results = list(pool.map(_run_group, ids, groups))

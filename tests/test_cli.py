@@ -213,6 +213,11 @@ class TestMap:
         assert code == 0
         assert out == "2,1,3 (h=2)\n"
 
+    def test_removebottom_without_alpha_exits_2(self, capsys):
+        code, out, err = run(capsys, "map", "removebottom")
+        assert (code, out) == (2, "")
+        assert err == "error: map removebottom needs --alpha\n"
+
     def test_h_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "map", "prepend", "--beta", "1,2", "--h", "9")
         assert code == 2

@@ -66,6 +66,10 @@ class TestMakePermutation:
     def test_compact(self):
         assert Permutation((2, 1, 4, 3)).compact() == "2143"
 
+    def test_compact_past_nine_rejected(self):
+        with pytest.raises(ValueError, match="n <= 9"):
+            Permutation(tuple(range(1, 11))).compact()
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("values, expected", [

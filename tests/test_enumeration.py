@@ -6,11 +6,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permpat.core import Permutation, count_occurrences, parse_compact
+from permpat.core import (Permutation, PinnedPattern, count_occurrences,
+                          parse_compact)
 from permpat.enumeration import (
     DESK_SCALE_LIMIT,
     HARD_N_LIMIT,
-    _count_vector,
+    _count_exactly,
     _family_rule,
     _scan_count,
     count_avoiders,
@@ -357,6 +358,30 @@ class TestRouteAgreement:
             assert count_exactly_once(n, avoid) == len(members)
 
 
+class TestExactWalkSearch:
+    """The exact-count walk's kernel calls, pinned: the number of
+    `count_ending_at` calls and the sum of their results change with any
+    change to the caps or to the pruning."""
+
+    @pytest.mark.parametrize("n, pattern, members, calls, summed", [
+        (6, (1, 2, 3), 110, 1530, 816),
+        (6, (1, 3, 2), 84, 1464, 827),
+        (8, (1, 2, 3), 1638, 39688, 28682),
+    ])
+    def test_kernel_calls(self, monkeypatch, n, pattern, members, calls,
+                          summed):
+        results = []
+        count_ending_at = PinnedPattern.count_ending_at
+
+        def recorded(self, prefix, value, cap):
+            results.append(count_ending_at(self, prefix, value, cap))
+            return results[-1]
+
+        monkeypatch.setattr(PinnedPattern, "count_ending_at", recorded)
+        assert _count_exactly(n, (pattern,), 1) == members
+        assert (len(results), sum(results)) == (calls, summed)
+
+
 @st.composite
 def family_sets(draw):
     k = draw(st.integers(2, 5))
@@ -383,17 +408,14 @@ def m_sets(draw):
 
 
 @st.composite
-def count_vector_queries(draw):
-    """One or two disjoint groups of length-3 or length-4 patterns and a
-    target of 0 to 2 occurrences per group."""
+def exact_count_queries(draw):
+    """One to four patterns of length 3 or 4 and a target of 0 to 2
+    occurrences, all patterns taken together."""
     k = draw(st.sampled_from([3, 4]))
     universe = sorted(permutations(range(1, k + 1)))
     pats = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4,
                          unique=True))
-    cut = draw(st.integers(0, len(pats) - 1))
-    groups = (tuple(pats[:cut]), tuple(pats[cut:])) if cut else (tuple(pats),)
-    target = tuple(draw(st.integers(0, 2)) for _ in groups)
-    return groups, target
+    return tuple(pats), draw(st.integers(0, 2))
 
 
 class TestRouteDifferential:
@@ -427,13 +449,17 @@ class TestRouteDifferential:
         assert list(enumerate_exactly_once(n, avoid)) == members
 
     @settings(max_examples=50)
-    @given(count_vector_queries(), st.integers(1, 7))
-    def test_vector_routes_agree(self, query, n):
-        groups, target = query
-        scan = _scan_count(n, groups, max(target) + 1)
-        assert _count_vector(n, groups, target) == scan.get(target, 0)
+    @given(exact_count_queries(), st.integers(1, 7))
+    def test_exact_count_routes_agree(self, query, n):
+        patterns, target = query
+        scan = _scan_count(n, (patterns,), target + 1)
+        assert _count_exactly(n, patterns, target) == scan.get((target,), 0)
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_vector_walk_matches_the_robertson_both_scan(self, n):
-        both = _count_vector(n, (((1, 2, 3),), ((1, 3, 2),)), (1, 1))
-        assert both == _count_both_exactly_one(n)
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_robertson_both_scan_matches_a_brute_filter(self, n):
+        def one_each(perm):
+            flats = Counter(map(brute_flatten, combinations(perm, 3)))
+            return flats[(1, 2, 3)] == flats[(1, 3, 2)] == 1
+
+        brute = sum(map(one_each, permutations(range(1, n + 1))))
+        assert _count_both_exactly_one(n) == brute

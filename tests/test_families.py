@@ -162,6 +162,11 @@ class TestSetConsistency:
             PatternSet(k=3, patterns=_perms("123"), kind="mkm", ms=(1,),
                        tau=parse_compact("231"))
 
+    def test_m_set_that_lists_tau(self):
+        with pytest.raises(ValueError, match="must not be a member"):
+            PatternSet(k=3, patterns=_perms("132"), kind="mkm", ms=(1,),
+                       tau=parse_compact("132"))
+
     def test_m_set_with_two_first_entries(self):
         with pytest.raises(ValueError, match="exactly one m"):
             PatternSet(k=3, patterns=_perms("123", "132", "213"), kind="mkm",

@@ -1,6 +1,7 @@
 import pytest
 
 from permpat.formulas import (
+    _exact_div,
     bona,
     catalan,
     formula_corollary_interval,
@@ -182,3 +183,8 @@ class TestIntroFormulas:
             robertson_both(8),
         ]
         assert all(type(v) is int for v in values)
+
+    def test_inexact_division_raises(self):
+        assert _exact_div(8, 2) == 4
+        with pytest.raises(ArithmeticError, match="inexact division 7/2"):
+            _exact_div(7, 2)

@@ -46,13 +46,23 @@ class TestRegistry:
             "corollary2", "corollary2_onset", "theorem3",
             "theorem3_complement", "theorem4", "catalan", "noonan", "bona",
             "robertson_single", "robertson_both"]
-        assert [sum(map(len, c.grid(n_max))) for c in claims] == sizes
+        assert [sum(p["n"] <= n_max for p in c.bindings())
+                for c in claims] == sizes
 
-    def test_groups_are_nonempty_and_within_n_max(self):
-        for claim in builtin_claims():
-            for group in claim.grid(4):
-                assert group
-                assert all(1 <= p["n"] <= 4 for p in group)
+    def test_groups_are_nonempty_and_within_n_max(self, monkeypatch):
+        # run_suite hands each group, the bindings of one claim that differ
+        # only in n, to _run_group: one worker task under parallel.
+        groups = []
+        monkeypatch.setattr(verify, "_run_group", lambda claim_id, group:
+                            groups.append((claim_id, group)) or [])
+        run_suite("all", 4)
+        for _, group in groups:
+            assert group
+            assert all(1 <= p["n"] <= 4 for p in group)
+            assert len({str({**p, "n": 0}) for p in group}) == 1
+        claim_ids = [claim_id for claim_id, _ in groups]
+        assert claim_ids.count("corollary_base_constant") == 16
+        assert claim_ids.count("theorem1") == 7
 
     def test_advisory_set_matches_the_claims(self):
         assert ADVISORY_CLAIMS == {c.claim_id for c in builtin_claims()
