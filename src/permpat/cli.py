@@ -9,12 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import islice
+from math import comb
 
 from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import count_occurrences, iter_occurrences, parse_permutation
 from .enumeration import (
     DESK_SCALE_LIMIT,
     HARD_N_LIMIT,
+    OCCURRENCE_WORK_LIMIT,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,
@@ -33,6 +35,14 @@ set expressions:
 
 permutations are written in one-line notation: comma- or space-separated
 values, e.g. "2,1,3".
+"""
+
+_COUNT_DESCRIPTION = f"""\
+Count the permutations selected by a set expression.
+
+The n > {DESK_SCALE_LIMIT} guard bounds n, not work.  A long pattern is
+avoided by nearly every permutation, so "{{123456789}}" at n = {DESK_SCALE_LIMIT}
+still visits close to {DESK_SCALE_LIMIT}! permutations without --force.
 """
 
 
@@ -60,6 +70,12 @@ def _cmd_occurrences(args: argparse.Namespace) -> int:
         raise ValueError("limit must be a positive integer")
     host = parse_permutation(args.host)
     pattern = parse_permutation(args.pattern)
+    steps = len(pattern) * comb(len(host), len(pattern))
+    if steps > OCCURRENCE_WORK_LIMIT and not args.force:
+        raise ValueError(
+            f"a length-{len(pattern)} pattern in a length-{len(host)} host "
+            f"may take {steps} search steps, past the limit "
+            f"{OCCURRENCE_WORK_LIMIT}; pass --force to override")
     print(count_occurrences(host, pattern))
     for pos in islice(iter_occurrences(host, pattern), args.limit):
         print("(" + ",".join(str(i) for i in pos) + ")")
@@ -132,7 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser(
         "count", help="count the permutations selected by a set expression",
-        epilog=_SET_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
+        description=_COUNT_DESCRIPTION, epilog=_SET_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     p_count.add_argument("--set", required=True, help="pattern set expression")
     p_count.add_argument("-n", type=int, required=True, help="permutation length")
     p_count.add_argument("--force", action="store_true", help=force_help)
@@ -154,6 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_occ.add_argument("--pattern", required=True, help="pattern permutation")
     p_occ.add_argument("--limit", type=int, default=100,
                        help="list at most this many index tuples (default 100)")
+    p_occ.add_argument("--force", action="store_true",
+                       help=f"override the {OCCURRENCE_WORK_LIMIT} search-step "
+                            "guard on k*C(n,k), for pattern length k and host "
+                            "length n")
     p_occ.set_defaults(handler=_cmd_occurrences)
 
     p_verify = sub.add_parser(

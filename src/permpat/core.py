@@ -76,16 +76,21 @@ def reverse(p: Permutation) -> Permutation:
     return Permutation(tuple(p.values[::-1]))
 
 
+def _is_ascii_digits(token: str) -> bool:
+    """True when every character is one of 0-9 (str.isdigit() also takes
+    other scripts' digits and superscripts)."""
+    return all("0" <= ch <= "9" for ch in token)
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse comma- or space-separated one-line notation, e.g. "2,1,3"."""
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation text")
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError:
-        raise ValueError(f"not an integer sequence: {text!r}") from None
-    return Permutation(tuple(values))
+    # int() also reads signs, underscores and non-ASCII digits
+    if not all(_is_ascii_digits(tok) for tok in tokens):
+        raise ValueError(f"not an integer sequence: {text!r}")
+    return Permutation(tuple(int(tok) for tok in tokens))
 
 
 def parse_compact(text: str) -> Permutation:
@@ -93,7 +98,7 @@ def parse_compact(text: str) -> Permutation:
     token = text.strip()
     if not token:
         raise ValueError("empty pattern token")
-    if not token.isdigit():
+    if not _is_ascii_digits(token):
         raise ValueError(f"not a digit-string pattern: {text!r}")
     if "0" in token:
         raise ValueError(f"digit-string patterns use digits 1..9: {text!r}")

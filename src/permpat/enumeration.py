@@ -2,19 +2,19 @@
 
 Two independent computation routes live here on purpose:
 
-* The optimized route is one iterative prefix walker, `_walk`, that asks a
-  rule which values may come next and decides each entry when it is
-  placed.  An unused value's rank among the unused values is the number of
-  smaller entries that will follow it (its inversion-table digit), so for
-  the first-entry families T(k,m), their unions and the exactly-once classes
-  the rule knows from that rank alone every family occurrence the entry
-  starts.  For arbitrary pattern lists the rule is a capped pinned-pattern
-  search per member over the occurrences that would END at the appended
-  value (appending a value can create no other occurrence).  The count
-  rule, `_exactly_rule`, sums those occurrences over the list, each capped
-  at one past what the target leaves, and reaches an exact count: the
-  verifier's noonan and bona oracles (exactly one 123, exactly one 132)
-  use it.
+* The optimized route decides each entry when it is placed.  Arbitrary
+  pattern lists, avoided or reached an exact number of times, are counted
+  on West's generating tree of standardized prefixes, `_count_exactly`,
+  which visits each good standardized prefix once, not once per value
+  set, and checks a candidate by a capped pinned-pattern search per member
+  over the occurrences that would END at it (appending a value can create
+  no other occurrence); the verifier's noonan and bona oracles (exactly
+  one 123, exactly one 132) count this way.  Everything else goes through
+  one iterative prefix walker, `_walk`, which places actual values in
+  lexicographic order: the listings, and the first-entry families T(k,m),
+  their unions and the exactly-once classes, whose rules know every family
+  occurrence an entry starts from its rank among the unused values (its
+  inversion-table digit: the smaller entries still to follow).
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
@@ -54,6 +54,9 @@ DESK_SCALE_LIMIT = 12
 # force stops here: the exactly-once rule builds an n-by-n table before it
 # walks, about 0.8 s and 120 MB at n=2000 for k=9.
 HARD_N_LIMIT = 2000
+# `occurrences` needs force past this many k * C(n,k) search steps (pattern
+# length k, host length n); at the bound that is up to about 10 s of CPU.
+OCCURRENCE_WORK_LIMIT = 10**8
 
 
 def _check_n(n: int, force: bool) -> None:
@@ -70,19 +73,19 @@ def _check_n(n: int, force: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The prefix walker and its rules
+# The prefix walker, its rules and the generating tree
 # ---------------------------------------------------------------------------
 #
 # A rule is children(prefix, unused, state): it yields (r, state') for each
 # value unused[r] that may follow prefix, in increasing r, where unused is
 # the sorted list of values not yet placed.  The candidate unused[r] will be
 # followed by exactly r smaller entries and len(unused) - 1 - r larger ones
-# (its inversion-table digit is r), so a rule can decide from r alone every
-# pattern occurrence the candidate starts.
+# (its inversion-table digit), so the family and exactly-once rules decide
+# from r alone every occurrence the candidate starts, with no dead ends.
 #
 # `_count_family`, `_count_generic`, `_iter_avoiders` and
-# `_count_exactly_once_rec` stay as thin entry points over `_walk`: the
-# benchmark's trace mode (perfbench/child.py) times each walk under its name.
+# `_count_exactly_once_rec` stay as thin entry points: the benchmark's trace
+# mode (perfbench/child.py) times each search under its name.
 
 def _walk(n: int, children) -> Iterator[list[int]]:
     """Yield every complete prefix that the rule allows at each step, in
@@ -123,8 +126,7 @@ def _family_rule(n: int, k: int, ms: tuple[int, ...]):
 
 def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
     """Avoid an arbitrary pattern list: a candidate is allowed when no
-    occurrence of any member ends at it (appending a value can create no
-    other occurrence)."""
+    occurrence of any member ends at it."""
     checks = [PinnedPattern(p).count_ending_at for p in patterns]
 
     def children(prefix, unused, state):
@@ -138,35 +140,33 @@ def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
     return children
 
 
-def _exactly_rule(patterns: tuple[tuple[int, ...], ...], target: int):
-    """Reach exactly `target` occurrences of a pattern list: the state is
-    the count so far (None at the root, meaning 0).  Each member adds the
-    occurrences that end at the candidate, counted up to one past what is
-    left, so a candidate that goes past the target is seen and refused.
-    The last entry must reach the target."""
-    checks = [PinnedPattern(p).count_ending_at for p in patterns]
-
-    def children(prefix, unused, state):
-        count = state or 0
-        last = len(unused) == 1
-        for r, v in enumerate(unused):
-            child = count
-            for ends_at in checks:
-                child += ends_at(prefix, v, target - child + 1)
-                if child > target:
-                    break
-            else:
-                if not last or child == target:
-                    yield r, child
-
-    return children
-
-
 def _count_exactly(n: int, patterns: tuple[tuple[int, ...], ...],
                    target: int) -> int:
     """Count the permutations of S_n with exactly `target` occurrences of
-    the patterns, all taken together."""
-    return sum(1 for _ in _walk(n, _exactly_rule(patterns, target)))
+    the patterns in all, on the generating tree.  A node is a standardized
+    prefix, doubled so that a child's new entry is an odd value between two
+    entries or past either end.  Each member adds its occurrences ending
+    there, capped at one past what the target leaves; a leaf must reach
+    the target."""
+    checks = [PinnedPattern(p).count_ending_at for p in patterns]
+    total = 0
+    stack: list[tuple[list[int], int]] = [([], 0)]
+    while stack:
+        prefix, count = stack.pop()
+        last = len(prefix) == n - 1
+        for new in range(1, 2 * len(prefix) + 2, 2):
+            child = count
+            for ends_at in checks:
+                child += ends_at(prefix, new, target - child + 1)
+                if child > target:
+                    break
+            else:
+                if not last:
+                    stack.append(([q + 2 if q > new else q for q in prefix]
+                                  + [new + 1], child))
+                elif child == target:
+                    total += 1
+    return total
 
 
 def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
@@ -175,8 +175,8 @@ def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
 
 
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
-    """Count avoiders of an arbitrary pattern list."""
-    return sum(1 for _ in _walk(n, _generic_rule(patterns)))
+    """Count avoiders of an arbitrary pattern list: no occurrence at all."""
+    return _count_exactly(n, patterns, 0)
 
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
@@ -247,9 +247,9 @@ def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
 
 def count_avoiders(n: int, pattern_set: PatternSet, *,
                    force: bool = False) -> int:
-    """|S_n(pattern_set)|, by the pruned prefix walk without materializing
-    permutations.  The tests check it against the unpruned scan,
-    `_scan_count(n, (patterns,), 1).get((0,), 0)`."""
+    """|S_n(pattern_set)|, by the pruned prefix walk or generating tree,
+    without materializing permutations.  The tests check it against the
+    unpruned scan, `_scan_count(n, (patterns,), 1).get((0,), 0)`."""
     _check_n(n, force)
     if pattern_set.kind == "union":
         return _count_family(n, pattern_set.k, pattern_set.ms)

@@ -163,9 +163,10 @@ def contains_exactly_once(p: Permutation, pattern_set: PatternSet) -> bool:
     return count_occurrences(p, tau, cap=2) == 1
 
 
-_TKM_RE = re.compile(r"^Tkm\((\d+),(\d+)\)$")
-_M_RE = re.compile(r"^M\((\d+),(\d+);(\d+)\)$")
-_U_RE = re.compile(r"^U\((\d+);(\d+(?:,\d+)*)\)$")
+# re.ASCII: \d would otherwise match any Unicode digit, which int() reads
+_TKM_RE = re.compile(r"^Tkm\((\d+),(\d+)\)$", re.ASCII)
+_M_RE = re.compile(r"^M\((\d+),(\d+);(\d+)\)$", re.ASCII)
+_U_RE = re.compile(r"^U\((\d+);(\d+(?:,\d+)*)\)$", re.ASCII)
 _BRACE_RE = re.compile(r"^\{([^{}]*)\}$")
 
 

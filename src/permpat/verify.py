@@ -266,11 +266,11 @@ _CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
           "length-3 tau, n to 8",
           bindings=_catalan_bindings, run=_run_catalan),
     Claim("noonan",
-          "permutations with exactly one 123, counted by a prefix walk "
+          "permutations with exactly one 123, counted on a generating tree "
           "capped at two occurrences, number (3/n)*C(2n,n+3), n to 8",
           bindings=partial(_n_from, 3), run=_run_noonan),
     Claim("bona",
-          "permutations with exactly one 132, counted by a prefix walk "
+          "permutations with exactly one 132, counted on a generating tree "
           "capped at two occurrences, number C(2n-3,n-3), n to 8",
           bindings=partial(_n_from, 3), run=_run_bona),
     Claim("robertson_single",

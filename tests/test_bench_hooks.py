@@ -49,7 +49,7 @@ def test_traced_histogram_claims_walk_instead_of_scanning(tmp_path):
     (("cli", "count", "--set", "Tkm(4,2)", "-n", "6"), "162",
      {"enumeration.walk_family": 1}),
     (("count", "6:1324"), "6:1324 513",
-     {"enumeration.walk_generic": 1, "core.pinned": 1824}),
+     {"enumeration.walk_generic": 1, "core.pinned": 766}),
     (("cli", "count", "--set", "M(4,2;2143)", "-n", "6"), "9",
      {"enumeration.walk_exactly_once": 1}),
 ], ids=["family", "generic", "exactly_once"])

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,19 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err.startswith("error: k=10 outside 2..9")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("set_expr, message", [
+        ("{\u0661\u0662}", "error: not a digit-string pattern: "),
+        ("Tkm(\u0663,1)", "error: cannot parse set expression "),
+        ("{1\u00b2}", "error: not a digit-string pattern: "),
+    ], ids=["arabic-indic-brace", "arabic-indic-tkm", "superscript"])
+    def test_non_ascii_digits_exit_2(self, capsys, set_expr, message):
+        # int() and str.isdigit() read these as digits; the grammar does not
+        code, out, err = run(capsys, "count", "--set", set_expr, "-n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
         assert len(err.splitlines()) == 1
 
     def test_family_at_nine_counts(self, capsys):
@@ -195,6 +209,39 @@ class TestOccurrences:
         assert out == ""
         assert err == "error: limit must be a positive integer\n"
 
+    def test_non_ascii_host_exits_2(self, capsys):
+        code, out, err = run(capsys, "occurrences", "--host", "\u0661",
+                             "--pattern", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: not an integer sequence: '\u0661'\n"
+
+    def test_work_guard_exits_2_before_printing(self, capsys):
+        # 15 * C(30,15) steps at most: past the limit, although a
+        # decreasing host holds no increasing pattern
+        host = ",".join(str(v) for v in range(30, 0, -1))
+        pattern = ",".join(str(v) for v in range(1, 16))
+        steps = 15 * math.comb(30, 15)
+        assert steps > enumeration.OCCURRENCE_WORK_LIMIT
+        code, out, err = run(capsys, "occurrences", "--host", host,
+                             "--pattern", pattern)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a length-15 pattern in a length-30 "
+                              f"host may take {steps} search steps")
+        assert len(err.splitlines()) == 1
+        assert run(capsys, "occurrences", "--host", host, "--pattern",
+                   pattern, "--force") == (0, "0\n", "")
+
+    def test_work_guard_passes_at_the_limit(self, capsys, monkeypatch):
+        # 3 * C(4,3) = 12 steps: refused only past the limit
+        monkeypatch.setattr(cli, "OCCURRENCE_WORK_LIMIT", 12)
+        assert run(capsys, "occurrences", "--host", "1,3,2,4", "--pattern",
+                   "1,2,3")[0] == 0
+        monkeypatch.setattr(cli, "OCCURRENCE_WORK_LIMIT", 11)
+        assert run(capsys, "occurrences", "--host", "1,3,2,4", "--pattern",
+                   "1,2,3")[0] == 2
+
 
 class TestMap:
     def test_prepend(self, capsys):
@@ -306,7 +353,8 @@ class TestUsage:
         assert surface == {
             "count": ["-h", "--help", "--set", "-n", "--force"],
             "enumerate": ["-h", "--help", "--set", "-n", "--limit", "--force"],
-            "occurrences": ["-h", "--help", "--host", "--pattern", "--limit"],
+            "occurrences": ["-h", "--help", "--host", "--pattern", "--limit",
+                            "--force"],
             "verify": ["-h", "--help", "--claims", "--n-max", "--format",
                        "--out", "--parallel"],
             "map": ["-h", "--help", "which", "--beta", "--alpha", "--h"],
@@ -338,3 +386,9 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "M(k,m;tau)" in out
         assert "{123,132}" in out
+
+    def test_count_help_says_the_guard_bounds_n_not_work(self, capsys):
+        assert main(["count", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "guard bounds n, not work" in out
+        assert '"{123456789}" at n = 12' in out

@@ -202,7 +202,8 @@ class TestParsing:
     def test_accepts_both_separators(self, text):
         assert parse_permutation(text).values == (2, 1, 3)
 
-    @pytest.mark.parametrize("text", ["", "a,b", "2,2,1", "0,1", "1,3"])
+    @pytest.mark.parametrize("text", ["", "a,b", "2,2,1", "0,1", "1,3",
+                                      "\u0661", "2,\u00b9", "+1", "1_0"])
     def test_rejects_invalid(self, text):
         with pytest.raises(ValueError):
             parse_permutation(text)
@@ -210,7 +211,8 @@ class TestParsing:
     def test_parse_compact(self):
         assert parse_compact("2143").values == (2, 1, 4, 3)
 
-    @pytest.mark.parametrize("text", ["", "120", "a13", "22"])
+    @pytest.mark.parametrize("text", ["", "120", "a13", "22", "\u0661\u0662",
+                                      "1\u00b2"])
     def test_parse_compact_rejects(self, text):
         with pytest.raises(ValueError):
             parse_compact(text)

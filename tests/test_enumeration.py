@@ -12,8 +12,11 @@ from permpat.enumeration import (
     DESK_SCALE_LIMIT,
     HARD_N_LIMIT,
     _count_exactly,
+    _count_generic,
     _family_rule,
+    _generic_rule,
     _scan_count,
+    _walk,
     count_avoiders,
     count_exactly_once,
     enumerate_avoiders,
@@ -358,28 +361,48 @@ class TestRouteAgreement:
             assert count_exactly_once(n, avoid) == len(members)
 
 
+def record_kernel_calls(monkeypatch) -> list[int]:
+    """Route every `count_ending_at` call through a wrapper; the returned
+    list collects each call's result."""
+    results = []
+    count_ending_at = PinnedPattern.count_ending_at
+
+    def recorded(self, prefix, value, cap):
+        results.append(count_ending_at(self, prefix, value, cap))
+        return results[-1]
+
+    monkeypatch.setattr(PinnedPattern, "count_ending_at", recorded)
+    return results
+
+
 class TestExactWalkSearch:
-    """The exact-count walk's kernel calls, pinned: the number of
+    """The generating tree's kernel calls, pinned: the number of
     `count_ending_at` calls and the sum of their results change with any
     change to the caps or to the pruning."""
 
     @pytest.mark.parametrize("n, pattern, members, calls, summed", [
-        (6, (1, 2, 3), 110, 1530, 816),
-        (6, (1, 3, 2), 84, 1464, 827),
-        (8, (1, 2, 3), 1638, 39688, 28682),
-    ])
+        (6, (1, 2, 3), 110, 547, 362),
+        (6, (1, 3, 2), 84, 506, 354),
+        (8, (1, 2, 3), 1638, 9105, 7491),
+    ], ids=["noonan-6", "bona-6", "noonan-8"])
     def test_kernel_calls(self, monkeypatch, n, pattern, members, calls,
                           summed):
-        results = []
-        count_ending_at = PinnedPattern.count_ending_at
-
-        def recorded(self, prefix, value, cap):
-            results.append(count_ending_at(self, prefix, value, cap))
-            return results[-1]
-
-        monkeypatch.setattr(PinnedPattern, "count_ending_at", recorded)
+        results = record_kernel_calls(monkeypatch)
         assert _count_exactly(n, (pattern,), 1) == members
         assert (len(results), sum(results)) == (calls, summed)
+
+    def test_a_class_of_one_costs_one_node_per_level(self, monkeypatch):
+        # A walk over values visits every increasing prefix of S_20 to find
+        # the identity; the tree keeps one node per level, whose j+1
+        # children each cost one kernel call.
+        n = 20
+        results = record_kernel_calls(monkeypatch)
+        assert count_avoiders(n, adhoc_set([parse_compact("21")]),
+                              force=True) == 1
+        assert len(results) <= n * (n + 1) // 2
+
+    def test_exactly_one_123_at_ten(self):
+        assert _count_exactly(10, ((1, 2, 3),), 1) == 23256
 
 
 @st.composite
@@ -447,6 +470,15 @@ class TestRouteDifferential:
                    if brute_contains_exactly_once(p, avoid.tau.values)]
         assert count_exactly_once(n, avoid) == len(members)
         assert list(enumerate_exactly_once(n, avoid)) == members
+
+    @settings(max_examples=25)
+    @given(adhoc_sets(), st.integers(1, 7))
+    def test_tree_count_matches_the_value_walk(self, ps, n):
+        # count_avoiders counts ad hoc sets on the tree; the listings keep
+        # the walk over values, so the two searches are checked here
+        patterns = tuple(p.values for p in ps.patterns)
+        walked = sum(1 for _ in _walk(n, _generic_rule(patterns)))
+        assert _count_generic(n, patterns) == walked
 
     @settings(max_examples=50)
     @given(exact_count_queries(), st.integers(1, 7))
