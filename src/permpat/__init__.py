@@ -9,12 +9,10 @@ formula against brute force over desk-scale grids.
 from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import (
     Permutation,
-    complement,
     count_occurrences,
     iter_occurrences,
     parse_compact,
     parse_permutation,
-    reverse,
 )
 from .enumeration import (
     DESK_SCALE_LIMIT,

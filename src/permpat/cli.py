@@ -12,7 +12,8 @@ from itertools import islice
 from math import comb
 
 from .bijections import insert_bottom, prepend_insert, remove_bottom
-from .core import count_occurrences, iter_occurrences, parse_permutation
+from .core import (_is_ascii_digits, count_occurrences, iter_occurrences,
+                   parse_permutation)
 from .enumeration import (
     DESK_SCALE_LIMIT,
     HARD_N_LIMIT,
@@ -44,6 +45,14 @@ The n > {DESK_SCALE_LIMIT} guard bounds n, not work.  A long pattern is
 avoided by nearly every permutation, so "{{123456789}}" at n = {DESK_SCALE_LIMIT}
 still visits close to {DESK_SCALE_LIMIT}! permutations without --force.
 """
+
+
+def integer(text: str) -> int:
+    """The type of the integer options: an optional "-" and ASCII digits
+    (int() also reads other scripts' digits)."""
+    if not _is_ascii_digits(text.removeprefix("-")):
+        raise ValueError(text)
+    return int(text)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -151,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=_COUNT_DESCRIPTION, epilog=_SET_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p_count.add_argument("--set", required=True, help="pattern set expression")
-    p_count.add_argument("-n", type=int, required=True, help="permutation length")
+    p_count.add_argument("-n", type=integer, required=True, help="permutation length")
     p_count.add_argument("--force", action="store_true", help=force_help)
     p_count.set_defaults(handler=_cmd_count)
 
@@ -159,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate", help="list the selected permutations in lexicographic order",
         epilog=_SET_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     p_enum.add_argument("--set", required=True, help="pattern set expression")
-    p_enum.add_argument("-n", type=int, required=True, help="permutation length")
-    p_enum.add_argument("--limit", type=int, default=None,
+    p_enum.add_argument("-n", type=integer, required=True, help="permutation length")
+    p_enum.add_argument("--limit", type=integer, default=None,
                         help="stop after this many permutations")
     p_enum.add_argument("--force", action="store_true", help=force_help)
     p_enum.set_defaults(handler=_cmd_enumerate)
@@ -169,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "occurrences", help="count and list pattern occurrences in a host")
     p_occ.add_argument("--host", required=True, help="host permutation")
     p_occ.add_argument("--pattern", required=True, help="pattern permutation")
-    p_occ.add_argument("--limit", type=int, default=100,
+    p_occ.add_argument("--limit", type=integer, default=100,
                        help="list at most this many index tuples (default 100)")
     p_occ.add_argument("--force", action="store_true",
                        help=f"override the {OCCURRENCE_WORK_LIMIT} search-step "
@@ -181,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run the oracle-vs-formula verification suite")
     p_verify.add_argument("--claims", default="all",
                           help='comma-separated claim ids, or "all" (default)')
-    p_verify.add_argument("--n-max", type=int, default=9, dest="n_max",
+    p_verify.add_argument("--n-max", type=integer, default=9, dest="n_max",
                           help="largest n to verify (default 9)")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json",
                           help="report format for --out (default json)")
@@ -195,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("which", choices=("prepend", "insertbottom", "removebottom"))
     p_map.add_argument("--beta", help="input permutation for the insert maps")
     p_map.add_argument("--alpha", help="input permutation for removebottom")
-    p_map.add_argument("--h", type=int, default=None,
+    p_map.add_argument("--h", type=integer, default=None,
                        help="1-based insertion position")
     p_map.set_defaults(handler=_cmd_map)
 

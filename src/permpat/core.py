@@ -19,8 +19,6 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "Permutation",
-    "complement",
-    "reverse",
     "count_occurrences",
     "iter_occurrences",
     "parse_permutation",
@@ -63,17 +61,6 @@ class Permutation:
         if len(self.values) > 9:
             raise ValueError("compact form is only defined for n <= 9")
         return "".join(str(v) for v in self.values)
-
-
-def complement(p: Permutation) -> Permutation:
-    """Replace each entry v by n+1-v, in place positionally."""
-    n = len(p)
-    return Permutation(tuple(n + 1 - v for v in p.values))
-
-
-def reverse(p: Permutation) -> Permutation:
-    """Reverse the positions, keeping the values."""
-    return Permutation(tuple(p.values[::-1]))
 
 
 def _is_ascii_digits(token: str) -> bool:

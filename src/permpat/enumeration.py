@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 12
-# force stops here: the exactly-once rule builds an n-by-n table before it
-# walks, about 0.8 s and 120 MB at n=2000 for k=9.
+# force stops here.  The rules' rows are O(n·k·|ms|), but work grows fast in
+# n: the tree counts the class of one {21} in cubic time (62 s of CPU at
+# n=2000), and the guard re-checks one listed M(9,5;tau) member for minutes.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.
@@ -111,16 +112,27 @@ def _walk(n: int, children) -> Iterator[list[int]]:
                 unused.insert(ranks.pop(), prefix.pop())
 
 
+def _rank_rows(n: int, k: int, ms: tuple[int, ...],
+               below: int) -> list[list[tuple[int, int]]]:
+    """For each count `later` of entries still to come, the ranks r, in
+    increasing order, at which an entry starts fewer than `below` (at most
+    2) occurrences of the union of T(k,m) over ms, each with that number.
+
+    An entry followed by r smaller and later-r larger entries starts
+    C(r,m-1)·C(later-r,k-m) occurrences of T(k,m), whatever order those
+    entries take.  Every rank from k to later-k starts at least two of each
+    T(k,m), so only the ranks below k and above later-k are tested."""
+    return [[(r, c) for r in chain(range(min(k, later + 1)),
+                                   range(max(k, later - k + 1), later + 1))
+             if (c := sum(comb(r, m - 1) * comb(later - r, k - m)
+                          for m in ms)) < below]
+            for later in range(n)]
+
+
 def _family_rule(n: int, k: int, ms: tuple[int, ...]):
-    """Avoid the union of T(k,m) for m in ms: an entry with s smaller and l
-    larger later entries starts an occurrence iff s >= m-1 and l >= k-m for
-    some m in ms, whatever order the later entries take.  With s and l both
-    >= k-1 it starts one for every m, so only the other ranks are tested."""
-    allowed = [[(r, None)
-                for r in chain(range(min(k - 1, later + 1)),
-                               range(max(k - 1, later - k + 2), later + 1))
-                if all(r < m - 1 or later - r < k - m for m in ms)]
-               for later in range(n)]
+    """Avoid the union of T(k,m) for m in ms: allow the ranks starting none."""
+    allowed = [[(r, None) for r, _ in row]
+               for row in _rank_rows(n, k, ms, 1)]
     return lambda prefix, unused, state: allowed[len(unused) - 1]
 
 
@@ -257,26 +269,22 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
 
 
 def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
-    """Avoid T(k,m) minus tau and contain tau exactly once.
-
-    An entry with s smaller and l larger later entries starts C(s,m-1) *
-    C(l,k-m) occurrences of T(k,m), so every placement knows how many it
-    adds, and a candidate that would bring the total to 2 is refused.  When
-    the one occurrence starts, its other values are known: all, or none, of
-    the smaller and of the larger values still unused.  The state is then
-    the tuple of those values not yet placed, in the order tau places them;
-    a candidate among them that is not the next one is refused, and the
-    last entry needs the occurrence to have started.
+    """Avoid T(k,m) minus tau and contain tau exactly once: only ranks that
+    start at most one occurrence are tried, and one that starts one is
+    refused once an occurrence has started.  Its other values are then
+    known: all, or none, of the smaller and of the larger values still
+    unused.  The state is the tuple of those values not yet placed, in the
+    order tau places them; a candidate among them that is not the next one
+    is refused, and the last entry needs the occurrence to have started.
     """
-    starts = [[comb(r, m - 1) * comb(later - r, k - m) for r in range(later + 1)]
-              for later in range(n)]
+    rows = _rank_rows(n, k, (m,), 2)
 
     def children(prefix, unused, state):
         later = len(unused) - 1
-        row = starts[later]
-        for r, v in enumerate(unused):
-            if row[r]:
-                if state is not None or row[r] > 1:
+        for r, starts in rows[later]:
+            v = unused[r]
+            if starts:
+                if state is not None:
                     continue
                 values = ((unused[:r] if m > 1 else []) + [v]
                           + (unused[r + 1:] if m < k else []))

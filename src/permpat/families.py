@@ -34,38 +34,35 @@ __all__ = [
 class PatternSet:
     """A finite set of patterns of one common length k, with provenance.
 
-    kind is one of "union", "mkm", "adhoc".  A "union" set is the union of
-    T(k,m) for the m in `ms`; an "mkm" set is T(k,m) minus `tau`, with
-    ms = (m,); an "adhoc" set is an explicit list with neither ms nor tau.
+    A set with a `tau` is T(k,m) minus tau, with ms = (m,); one with only
+    `ms` is the union of T(k,m) for the m in ms; one with neither is an ad
+    hoc list.  `kind` names these "mkm", "union" and "adhoc".
     """
 
     k: int
     patterns: tuple[Permutation, ...]
-    kind: str
     ms: tuple[int, ...] = ()
     tau: Permutation | None = None
 
+    @property
+    def kind(self) -> str:
+        return "mkm" if self.tau is not None else "union" if self.ms else "adhoc"
+
     def __post_init__(self) -> None:
-        if self.kind not in ("union", "mkm", "adhoc"):
-            raise ValueError(f"unknown provenance kind {self.kind!r}")
         pats = self.patterns
         if any(len(p) != self.k for p in pats):
             raise ValueError("all patterns in a set must share one length k")
         if any(a >= b for a, b in zip(pats, pats[1:])):
             raise ValueError("patterns must be distinct and in sorted order")
         if self.kind == "adhoc":
-            if self.ms or self.tau is not None:
-                raise ValueError("an ad hoc set has neither ms nor tau")
             return
-        removed = self.kind == "mkm"
-        if not removed and self.tau is not None:
-            raise ValueError("only an M-type set has a removed pattern tau")
         k, ms, tau = self.k, self.ms, self.tau
+        removed = tau is not None
         _check_ms(k, ms)
-        if removed:
+        if tau is not None:
             if len(ms) != 1:
                 raise ValueError("an M-type set has exactly one m")
-            if tau is None or len(tau) != k or tau.values[0] != ms[0]:
+            if len(tau) != k or tau.values[0] != ms[0]:
                 raise ValueError(f"tau must lie in T({k},{ms[0]})")
             if tau in pats:
                 raise ValueError("removed pattern must not be a member")
@@ -83,8 +80,7 @@ class PatternSet:
 
     def label(self) -> str:
         """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)"."""
-        if self.kind == "mkm":
-            assert self.tau is not None
+        if self.tau is not None:
             return f"M({self.k},{self.ms[0]};{self.tau.compact()})"
         if len(self.ms) == 1:
             return f"Tkm({self.k},{self.ms[0]})"
@@ -120,7 +116,7 @@ def build_m(k: int, m: int, tau: Permutation) -> PatternSet:
     _check_k(k)
     _check_ms(k, (m,))
     pats = tuple(sorted(p for p in _family_patterns(k, m) if p != tau))
-    return PatternSet(k=k, patterns=pats, kind="mkm", ms=(m,), tau=tau)
+    return PatternSet(k=k, patterns=pats, ms=(m,), tau=tau)
 
 
 def build_union_tkm(k: int, ms: Iterable[int]) -> PatternSet:
@@ -131,7 +127,7 @@ def build_union_tkm(k: int, ms: Iterable[int]) -> PatternSet:
     pats: list[Permutation] = []
     for m in ms:
         pats.extend(_family_patterns(k, m))
-    return PatternSet(k=k, patterns=tuple(sorted(pats)), kind="union", ms=ms)
+    return PatternSet(k=k, patterns=tuple(sorted(pats)), ms=ms)
 
 
 def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
@@ -139,7 +135,7 @@ def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
     pats = tuple(sorted(patterns))
     if not pats:
         raise ValueError("ad hoc pattern set must be nonempty")
-    return PatternSet(k=len(pats[0]), patterns=pats, kind="adhoc")
+    return PatternSet(k=len(pats[0]), patterns=pats)
 
 
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:

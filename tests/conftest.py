@@ -12,10 +12,22 @@ from itertools import combinations, permutations
 
 from hypothesis import settings
 
+from permpat.core import Permutation
 from permpat.enumeration import _scan_count
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+def complement(p: Permutation) -> Permutation:
+    """Replace each entry v by n+1-v, in place positionally."""
+    n = len(p)
+    return Permutation(tuple(n + 1 - v for v in p.values))
+
+
+def reverse(p: Permutation) -> Permutation:
+    """Reverse the positions, keeping the values."""
+    return Permutation(tuple(p.values[::-1]))
 
 
 def brute_flatten(values) -> tuple[int, ...]:

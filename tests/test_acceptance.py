@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from permpat.bijections import insert_bottom, prepend_insert, remove_bottom
-from permpat.core import Permutation, complement, parse_compact
+from permpat.core import Permutation, parse_compact
 from permpat.enumeration import (
     count_avoiders,
     enumerate_avoiders,
@@ -37,7 +37,7 @@ from permpat.formulas import (
 )
 from permpat.verify import failed_records, run_suite
 
-from conftest import scan_count_avoiders
+from conftest import complement, scan_count_avoiders
 
 N_ENUM = 9   # enumeration-backed grids run to n = 9
 N_SCAN = 8   # exhaustive-scan-backed grids run to n = 8

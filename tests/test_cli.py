@@ -69,6 +69,19 @@ class TestCount:
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--set", "{12}", "-n", "\u0661\u0662"],
+        ["enumerate", "--set", "{12}", "-n", "3", "--limit", "\u0661"],
+        ["verify", "--claims", "catalan", "--n-max", "\u0663"],
+        ["map", "prepend", "--beta", "1", "--h", "\u0661"],
+    ], ids=["n", "limit", "n-max", "h"])
+    def test_non_ascii_integer_option_exits_2(self, capsys, argv):
+        # int() reads these as 12, 1, 3 and 1
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "invalid integer" in err
+
     def test_family_at_nine_counts(self, capsys):
         # every permutation of S_9 starting with 9 is itself in T(9,9)
         code, out, _ = run(capsys, "count", "--set", "Tkm(9,9)", "-n", "9")
@@ -369,7 +382,7 @@ class TestUsage:
             "ADVISORY_CLAIMS", "Claim", "DESK_SCALE_LIMIT", "PatternSet",
             "Permutation", "VerificationRecord", "adhoc_set", "avoids_all",
             "bona", "build_m", "build_tkm", "build_union_tkm",
-            "builtin_claims", "catalan", "complement", "contains_exactly_once",
+            "builtin_claims", "catalan", "contains_exactly_once",
             "count_avoiders", "count_exactly_once", "count_occurrences",
             "enumerate_avoiders", "enumerate_exactly_once", "failed_records",
             "formula_corollary_interval", "formula_theorem1",
@@ -377,7 +390,7 @@ class TestUsage:
             "iter_occurrences", "noonan", "occurrence_histogram",
             "parse_compact", "parse_permutation", "parse_set_expression",
             "prepend_insert", "recurrence_coefficient", "remove_bottom",
-            "reverse", "robertson_both", "robertson_single", "run_suite",
+            "robertson_both", "robertson_single", "run_suite",
             "verify_claim", "write_report",
         ]
 

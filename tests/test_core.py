@@ -8,15 +8,13 @@ from permpat.cli import main
 from permpat.core import (
     Permutation,
     PinnedPattern,
-    complement,
     count_occurrences,
     iter_occurrences,
     parse_compact,
     parse_permutation,
-    reverse,
 )
 
-from conftest import brute_occurrence_list
+from conftest import brute_occurrence_list, complement, reverse
 
 
 @st.composite

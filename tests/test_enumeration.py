@@ -1,7 +1,6 @@
-import random
 from collections import Counter
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +13,7 @@ from permpat.enumeration import (
     _count_exactly,
     _count_generic,
     _family_rule,
+    _rank_rows,
     _generic_rule,
     _scan_count,
     _walk,
@@ -120,6 +120,23 @@ class TestFamilyRuleTable:
                              if all(r < m - 1 or later - r < k - m for m in ms)]
                             for later in range(n)], (k, ms, n)
 
+    def test_rank_rows_match_the_dense_count(self):
+        # the reference counts the occurrences started at every rank of
+        # every row; below=1 for every union, below=2 for every single m
+        for k in range(2, 7):
+            queries = [(ms, 1) for size in range(1, k + 1)
+                       for ms in combinations(range(1, k + 1), size)]
+            queries += [((m,), 2) for m in range(1, k + 1)]
+            for ms, below in queries:
+                for n in range(1, 15):
+                    rows = _rank_rows(n, k, ms, below)
+                    assert rows == [
+                        [(r, c) for r in range(later + 1)
+                         if (c := sum(comb(r, m - 1) * comb(later - r, k - m)
+                                      for m in ms)) < below]
+                        for later in range(n)], (k, ms, below, n)
+                    assert max(map(len, rows)) <= 2 * k, (k, ms, below, n)
+
 
 class TestCountAvoiders:
     def test_known_counts(self):
@@ -146,7 +163,7 @@ class TestCountAvoiders:
         adhoc_set([parse_compact("132")]),
     ])
     @pytest.mark.parametrize("n", [5, 6])
-    def test_exhaustive_flag_agrees(self, n, pattern_set):
+    def test_matches_the_scan(self, n, pattern_set):
         assert (scan_count_avoiders(n, pattern_set)
                 == count_avoiders(n, pattern_set))
 
@@ -310,55 +327,6 @@ class TestPrefixPruningSoundness:
         extended = Permutation(brute_flatten(host[:cut + 1]))
         if count_occurrences(prefix, pattern, cap=1):
             assert count_occurrences(extended, pattern, cap=1)
-
-
-class TestRouteAgreement:
-    def test_pruned_vs_scan_on_random_adhoc_sets(self):
-        rng = random.Random(77)
-        for _ in range(25):
-            k = rng.randint(2, 4)
-            universe = list(permutations(range(1, k + 1)))
-            size = rng.randint(1, min(4, len(universe)))
-            pats = rng.sample(universe, size)
-            ps = adhoc_set(Permutation(p) for p in pats)
-            n = rng.randint(1, 6)
-            assert (count_avoiders(n, ps)
-                    == scan_count_avoiders(n, ps))
-
-    def test_every_walker_rule_against_the_scan(self):
-        rng = random.Random(3)
-        sets = []
-        for _ in range(20):
-            k = rng.randint(2, 5)
-            ms = [m for m in range(1, k + 1) if rng.random() < 0.5]
-            ms = ms or [rng.randint(1, k)]
-            sets.append(build_tkm(k, ms[0]) if len(ms) == 1
-                        else build_union_tkm(k, ms))
-        for _ in range(20):
-            k = rng.randint(1, 4)
-            universe = list(permutations(range(1, k + 1)))
-            pats = rng.sample(universe, rng.randint(1, min(4, len(universe))))
-            sets.append(adhoc_set(Permutation(p) for p in pats))
-        for ps in sets:
-            n = rng.randint(1, 7)
-            total = count_avoiders(n, ps)
-            assert total == scan_count_avoiders(n, ps)
-            out = list(enumerate_avoiders(n, ps))
-            assert all(a < b for a, b in zip(out, out[1:]))
-            assert len(out) == total
-
-    def test_exactly_once_rule_against_a_brute_filter(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            k = rng.randint(2, 4)
-            m = rng.randint(1, k)
-            tau = rng.choice(build_tkm(k, m).patterns)
-            n = rng.randint(1, 7)
-            members = [Permutation(p) for p in permutations(range(1, n + 1))
-                       if brute_contains_exactly_once(p, tau.values)]
-            avoid = build_m(k, m, tau)
-            assert list(enumerate_exactly_once(n, avoid)) == members
-            assert count_exactly_once(n, avoid) == len(members)
 
 
 def record_kernel_calls(monkeypatch) -> list[int]:

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from permpat.core import Permutation, complement, parse_compact
+from permpat.core import Permutation, parse_compact
 from permpat.families import (
     PatternSet,
     adhoc_set,
@@ -14,6 +14,8 @@ from permpat.families import (
     contains_exactly_once,
     parse_set_expression,
 )
+
+from conftest import complement
 
 
 def _values(pattern_set):
@@ -131,8 +133,7 @@ class TestAdhoc:
 
     def test_patternset_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            PatternSet(k=3, patterns=(parse_compact("132"), parse_compact("123")),
-                       kind="adhoc")
+            PatternSet(k=3, patterns=(parse_compact("132"), parse_compact("123")))
 
 
 def _perms(*texts):
@@ -145,42 +146,40 @@ class TestSetConsistency:
 
     def test_union_whose_ms_disagree_with_its_patterns(self):
         with pytest.raises(ValueError, match="start with an m in ms"):
-            PatternSet(k=3, patterns=_perms("123"), kind="union", ms=(2,))
+            PatternSet(k=3, patterns=_perms("123"), ms=(2,))
 
     def test_union_missing_one_pattern(self):
         full = build_union_tkm(4, (1, 3))
         with pytest.raises(ValueError, match="every pattern of its families"):
-            PatternSet(k=4, patterns=full.patterns[1:], kind="union", ms=(1, 3))
+            PatternSet(k=4, patterns=full.patterns[1:], ms=(1, 3))
 
     def test_m_set_whose_patterns_do_not_start_with_m(self):
         with pytest.raises(ValueError, match="start with an m in ms"):
-            PatternSet(k=3, patterns=_perms("213"), kind="mkm", ms=(1,),
+            PatternSet(k=3, patterns=_perms("213"), ms=(1,),
                        tau=parse_compact("132"))
 
     def test_m_set_whose_tau_starts_elsewhere(self):
         with pytest.raises(ValueError, match=r"tau must lie in T\(3,1\)"):
-            PatternSet(k=3, patterns=_perms("123"), kind="mkm", ms=(1,),
+            PatternSet(k=3, patterns=_perms("123"), ms=(1,),
                        tau=parse_compact("231"))
 
     def test_m_set_that_lists_tau(self):
         with pytest.raises(ValueError, match="must not be a member"):
-            PatternSet(k=3, patterns=_perms("132"), kind="mkm", ms=(1,),
+            PatternSet(k=3, patterns=_perms("132"), ms=(1,),
                        tau=parse_compact("132"))
 
     def test_m_set_with_two_first_entries(self):
         with pytest.raises(ValueError, match="exactly one m"):
-            PatternSet(k=3, patterns=_perms("123", "132", "213"), kind="mkm",
+            PatternSet(k=3, patterns=_perms("123", "132", "213"),
                        ms=(1, 2), tau=parse_compact("231"))
 
-    @pytest.mark.parametrize("kind, ms, tau", [
-        ("tkm", (1,), None),
-        ("union", (1,), "132"),
-        ("adhoc", (1,), None),
-        ("union", (1, 4), None),
+    @pytest.mark.parametrize("ms, tau", [
+        ((1,), "132"),
+        ((1, 4), None),
     ])
-    def test_other_contradictions(self, kind, ms, tau):
+    def test_other_contradictions(self, ms, tau):
         with pytest.raises(ValueError):
-            PatternSet(k=3, patterns=_perms("123", "132"), kind=kind, ms=ms,
+            PatternSet(k=3, patterns=_perms("123", "132"), ms=ms,
                        tau=None if tau is None else parse_compact(tau))
 
 
