@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 from math import comb
@@ -96,6 +97,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tok.strip() for tok in args.claims.split(",") if tok.strip()]
     records = run_suite(selection, args.n_max, parallel=args.parallel)
     failures = failed_records(records)
+    args.status = 1 if failures else 0  # stands if the reader goes away
     for rec in failures:
         params = " ".join(f"{k}={v}" for k, v in rec.params)
         print(f"FAIL {rec.claim} [{params}] oracle={rec.oracle} "
@@ -111,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write the report: {exc}") from exc
         print(f"report written to {args.out}")
-    return 1 if failures else 0
+    return args.status
 
 
 def _print_advisory_findings(records) -> None:
@@ -212,12 +214,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    args = argparse.Namespace(status=0)
     try:
-        args = parser.parse_args(argv)
+        args.status = _run(argv, args)
+        sys.stdout.flush()  # meet a closed pipe here rather than at exit
+    except BrokenPipeError:
+        # the reader has gone: say no more, and let the exit flush hit devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return args.status
+
+
+def _run(argv: list[str] | None, args: argparse.Namespace) -> int:
+    try:
+        _build_parser().parse_args(argv, namespace=args)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -4,16 +4,16 @@ The central family is T(k,m): every length-k pattern whose first entry is m,
 of which there are (k-1)!.  A `PatternSet` is the one description of a
 class: a union of T(k,m) over several m (T(k,m) itself is the one-entry
 union), M(k,m;tau) = T(k,m) minus tau for "avoid the rest, contain tau
-exactly once" counting, or an ad hoc list.  Construction checks that its
-patterns are exactly what its ms and tau say.
+exactly once" counting, or an ad hoc list.  A family set is described by k,
+its ms and tau alone and lists its patterns only when they are first read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _permutations
-from math import factorial
 from typing import Iterable
 
 from .core import Permutation, count_occurrences, parse_compact
@@ -36,11 +36,13 @@ class PatternSet:
 
     A set with a `tau` is T(k,m) minus tau, with ms = (m,); one with only
     `ms` is the union of T(k,m) for the m in ms; one with neither is an ad
-    hoc list.  `kind` names these "mkm", "union" and "adhoc".
+    hoc list, the only kind that stores its patterns, in `listed`.  `kind`
+    names these "mkm", "union" and "adhoc".  `patterns` is the sorted
+    member tuple, derived for a family set on first use.
     """
 
     k: int
-    patterns: tuple[Permutation, ...]
+    listed: tuple[Permutation, ...] = ()
     ms: tuple[int, ...] = ()
     tau: Permutation | None = None
 
@@ -49,31 +51,36 @@ class PatternSet:
         return "mkm" if self.tau is not None else "union" if self.ms else "adhoc"
 
     def __post_init__(self) -> None:
-        pats = self.patterns
-        if any(len(p) != self.k for p in pats):
-            raise ValueError("all patterns in a set must share one length k")
-        if any(a >= b for a, b in zip(pats, pats[1:])):
-            raise ValueError("patterns must be distinct and in sorted order")
+        k, ms, tau, pats = self.k, self.ms, self.tau, self.listed
         if self.kind == "adhoc":
+            if not pats:
+                raise ValueError("ad hoc pattern set must be nonempty")
+            if any(len(p) != k for p in pats):
+                raise ValueError("all patterns in a set must share one length k")
+            if any(a >= b for a, b in zip(pats, pats[1:])):
+                raise ValueError("patterns must be distinct and in sorted order")
             return
-        k, ms, tau = self.k, self.ms, self.tau
-        removed = tau is not None
-        _check_ms(k, ms)
+        if pats:
+            raise ValueError("a family set lists no patterns: its k, ms and "
+                             "tau describe them")
+        if not 2 <= k <= 9:
+            raise ValueError(f"k={k} outside 2..9 (patterns are digit strings)")
+        if not ms or any(a >= b for a, b in zip((0, *ms), (*ms, k + 1))):
+            raise ValueError(f"first entries {list(ms)} must be nonempty and "
+                             f"strictly increasing within 1..{k}")
         if tau is not None:
             if len(ms) != 1:
                 raise ValueError("an M-type set has exactly one m")
             if len(tau) != k or tau.values[0] != ms[0]:
                 raise ValueError(f"tau must lie in T({k},{ms[0]})")
-            if tau in pats:
-                raise ValueError("removed pattern must not be a member")
-        # Exactly |ms|*(k-1)! distinct length-k patterns start with an m in
-        # ms, so that many distinct members that all do (one fewer, and tau
-        # not among them, for M) are the whole union (or T(k,m) minus tau).
-        firsts = set(ms)
-        if any(p.values[0] not in firsts for p in pats):
-            raise ValueError("every pattern must start with an m in ms")
-        if len(pats) != len(ms) * factorial(k - 1) - removed:
-            raise ValueError("the set must hold every pattern of its families")
+
+    @cached_property
+    def patterns(self) -> tuple[Permutation, ...]:
+        if self.kind == "adhoc":
+            return self.listed
+        # each family lists its patterns in order, and the ms increase
+        return tuple(p for m in self.ms for p in _family_patterns(self.k, m)
+                     if p != self.tau)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -89,18 +96,6 @@ class PatternSet:
         return "{" + ",".join(p.compact() for p in self.patterns) + "}"
 
 
-def _check_k(k: int) -> None:
-    # the builders list all (k-1)! patterns up front, each a digit string
-    if not 2 <= k <= 9:
-        raise ValueError(f"k={k} outside 2..9 (patterns are digit strings)")
-
-
-def _check_ms(k: int, ms: tuple[int, ...]) -> None:
-    if not ms or any(a >= b for a, b in zip((0, *ms), (*ms, k + 1))):
-        raise ValueError(f"first entries {list(ms)} must be nonempty and "
-                         f"strictly increasing within 1..{k}")
-
-
 def _family_patterns(k: int, m: int) -> list[Permutation]:
     rest = [v for v in range(1, k + 1) if v != m]
     return [Permutation((m, *tail)) for tail in _permutations(rest)]
@@ -108,34 +103,23 @@ def _family_patterns(k: int, m: int) -> list[Permutation]:
 
 def build_tkm(k: int, m: int) -> PatternSet:
     """All (k-1)! patterns of length k starting with m: the one-entry union."""
-    return build_union_tkm(k, (m,))
+    return PatternSet(k=k, ms=(m,))
 
 
 def build_m(k: int, m: int, tau: Permutation) -> PatternSet:
     """T(k,m) with the designated pattern tau removed."""
-    _check_k(k)
-    _check_ms(k, (m,))
-    pats = tuple(sorted(p for p in _family_patterns(k, m) if p != tau))
-    return PatternSet(k=k, patterns=pats, ms=(m,), tau=tau)
+    return PatternSet(k=k, ms=(m,), tau=tau)
 
 
 def build_union_tkm(k: int, ms: Iterable[int]) -> PatternSet:
     """Union of the families T(k,m) for m in a strictly increasing list."""
-    _check_k(k)
-    ms = tuple(ms)
-    _check_ms(k, ms)
-    pats: list[Permutation] = []
-    for m in ms:
-        pats.extend(_family_patterns(k, m))
-    return PatternSet(k=k, patterns=tuple(sorted(pats)), ms=ms)
+    return PatternSet(k=k, ms=tuple(ms))
 
 
 def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
     """An explicit pattern set; all members must share one length."""
     pats = tuple(sorted(patterns))
-    if not pats:
-        raise ValueError("ad hoc pattern set must be nonempty")
-    return PatternSet(k=len(pats[0]), patterns=pats)
+    return PatternSet(k=len(pats[0]) if pats else 0, listed=pats)
 
 
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:

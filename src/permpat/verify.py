@@ -321,10 +321,9 @@ def _run_group(claim_id: str, group: list[dict]) -> list[VerificationRecord]:
 
 
 def _resolve_selection(selection) -> list[str]:
-    if isinstance(selection, str):
-        names = [selection]
-    else:
-        names = list(selection)
+    # a repeated id runs once, where it first appears
+    names = list(dict.fromkeys([selection] if isinstance(selection, str)
+                               else selection))
     if names == ["all"]:
         return list(_CLAIMS)
     unknown = [name for name in names if name not in _CLAIMS]

@@ -1,7 +1,13 @@
 import argparse
 import inspect
+import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +349,52 @@ class TestVerify:
         code1, out1, _ = run(capsys, "verify", "--claims", "all", "--n-max", "4")
         code2, out2, _ = run(capsys, "verify", "--claims", "all", "--n-max", "4")
         assert (code1, out1) == (code2, out2)
+
+    def test_repeated_claim_runs_once(self, capsys, tmp_path):
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        code, out, _ = run(capsys, "verify", "--claims", "catalan,catalan",
+                           "--n-max", "3", "--out", str(twice))
+        assert code == 0
+        assert out.splitlines()[0] == "18/18 pass"
+        assert run(capsys, "verify", "--claims", "catalan", "--n-max", "3",
+                   "--out", str(once))[0] == 0
+        strip_ms = lambda path: re.sub(r'"ms": \d+', '"ms": 0', path.read_text())
+        assert strip_ms(twice) == strip_ms(once)
+
+
+class _ClosedPipe(io.TextIOWrapper):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    def test_enumerate_into_closed_pipe_exits_0_quietly(self):
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        # the listing is far larger than a pipe buffer, so the child is
+        # still writing when the reader closes the pipe
+        with subprocess.Popen(
+                [sys.executable, "-m", "permpat", "enumerate", "--set",
+                 "Tkm(4,2)", "-n", "10"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+    def test_failed_verify_into_closed_pipe_still_exits_1(
+            self, capsys, monkeypatch, tmp_path):
+        fake = VerificationRecord(claim="theorem1", params=(("n", 5),),
+                                  oracle=1, formula=2, passed=False, ms=0)
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: [fake])
+        with _ClosedPipe(open(tmp_path / "stdout", "wb")) as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["verify", "--claims", "theorem1"]) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestUsage:

@@ -1,8 +1,9 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
+from permpat import families
 from permpat.core import Permutation, parse_compact
 from permpat.families import (
     PatternSet,
@@ -14,6 +15,7 @@ from permpat.families import (
     contains_exactly_once,
     parse_set_expression,
 )
+from permpat.enumeration import count_avoiders
 
 from conftest import complement
 
@@ -49,7 +51,7 @@ class TestBuildTkm:
             build_tkm(1, 1)
 
     def test_k_past_the_digits_rejected_before_building(self):
-        # k=10 would list 9! patterns before failing anywhere else
+        # checked at construction, before any pattern is listed
         with pytest.raises(ValueError, match="k=10 outside 2..9"):
             build_tkm(10, 1)
         with pytest.raises(ValueError, match="k=10 outside 2..9"):
@@ -133,54 +135,84 @@ class TestAdhoc:
 
     def test_patternset_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            PatternSet(k=3, patterns=(parse_compact("132"), parse_compact("123")))
+            PatternSet(k=3, listed=(parse_compact("132"), parse_compact("123")))
 
 
 def _perms(*texts):
     return tuple(parse_compact(t) for t in texts)
 
 
+def _sorted_members(k, ms, tau=None):
+    """The length-k patterns whose first entry is in ms, minus tau, by a
+    filter over all of S_k."""
+    return tuple(sorted(Permutation(p) for p in permutations(range(1, k + 1))
+                        if p[0] in ms and Permutation(p) != tau))
+
+
 class TestSetConsistency:
-    """A family set is checked whole: its patterns must be exactly what its
-    ms and tau describe."""
-
-    def test_union_whose_ms_disagree_with_its_patterns(self):
-        with pytest.raises(ValueError, match="start with an m in ms"):
-            PatternSet(k=3, patterns=_perms("123"), ms=(2,))
-
-    def test_union_missing_one_pattern(self):
-        full = build_union_tkm(4, (1, 3))
-        with pytest.raises(ValueError, match="every pattern of its families"):
-            PatternSet(k=4, patterns=full.patterns[1:], ms=(1, 3))
-
-    def test_m_set_whose_patterns_do_not_start_with_m(self):
-        with pytest.raises(ValueError, match="start with an m in ms"):
-            PatternSet(k=3, patterns=_perms("213"), ms=(1,),
-                       tau=parse_compact("132"))
+    """Construction is the one place that checks a set, and a family set is
+    described by k, ms and tau alone, so every set that can be built is
+    valid."""
 
     def test_m_set_whose_tau_starts_elsewhere(self):
         with pytest.raises(ValueError, match=r"tau must lie in T\(3,1\)"):
-            PatternSet(k=3, patterns=_perms("123"), ms=(1,),
-                       tau=parse_compact("231"))
-
-    def test_m_set_that_lists_tau(self):
-        with pytest.raises(ValueError, match="must not be a member"):
-            PatternSet(k=3, patterns=_perms("132"), ms=(1,),
-                       tau=parse_compact("132"))
+            PatternSet(k=3, ms=(1,), tau=parse_compact("231"))
 
     def test_m_set_with_two_first_entries(self):
         with pytest.raises(ValueError, match="exactly one m"):
-            PatternSet(k=3, patterns=_perms("123", "132", "213"),
-                       ms=(1, 2), tau=parse_compact("231"))
+            PatternSet(k=3, ms=(1, 2), tau=parse_compact("231"))
 
     @pytest.mark.parametrize("ms, tau", [
-        ((1,), "132"),
+        ((), "132"),
         ((1, 4), None),
     ])
     def test_other_contradictions(self, ms, tau):
-        with pytest.raises(ValueError):
-            PatternSet(k=3, patterns=_perms("123", "132"), ms=ms,
+        with pytest.raises(ValueError, match="first entries"):
+            PatternSet(k=3, ms=ms,
                        tau=None if tau is None else parse_compact(tau))
+
+    def test_empty_set_rejected(self):
+        # it once counted 24 avoiders at n=4, and its label "{}" does not parse
+        with pytest.raises(ValueError, match="nonempty"):
+            PatternSet(k=0)
+
+    def test_family_past_nine_rejected_when_built_directly(self):
+        with pytest.raises(ValueError, match="k=10 outside 2..9"):
+            PatternSet(k=10, ms=(1,))
+
+    @pytest.mark.parametrize("ms, tau", [((1,), None), ((1, 3), None),
+                                         ((1,), "132")])
+    def test_family_set_that_lists_patterns_rejected(self, ms, tau):
+        with pytest.raises(ValueError, match="lists no patterns"):
+            PatternSet(k=3, listed=_perms("123"), ms=ms,
+                       tau=None if tau is None else parse_compact(tau))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_family_set_round_trips(self, k):
+        sets = [(ms, None) for r in range(1, k + 1)
+                for ms in combinations(range(1, k + 1), r)]
+        sets += [((tau.values[0],), tau) for tau in _sorted_members(k, range(1, k + 1))]
+        for ms, tau in sets:
+            ps = (build_union_tkm(k, ms) if tau is None
+                  else build_m(k, ms[0], tau))
+            assert parse_set_expression(ps.label()) == ps
+            assert ps.patterns == _sorted_members(k, ms, tau)
+            assert len(ps) == len(ps.patterns)
+
+    def test_family_sets_list_no_patterns_until_read(self, monkeypatch):
+        built = []
+        real_post_init = Permutation.__post_init__
+
+        def counting_post_init(p):
+            built.append(p.values)
+            real_post_init(p)
+
+        monkeypatch.setattr(families, "_family_patterns",
+                            lambda k, m: pytest.fail("patterns listed"))
+        monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
+        assert build_union_tkm(9, range(1, 10)).kind == "union"
+        assert count_avoiders(12, build_tkm(4, 2)) == 118098
+        assert built == []
 
 
 class TestPredicates:
