@@ -124,7 +124,9 @@ def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
 
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
     """True when `p` contains no occurrence of any pattern in the set."""
-    return all(count_occurrences(p, pat, cap=1) == 0 for pat in pattern_set.patterns)
+    # a pattern longer than p cannot occur in it
+    return len(p) < pattern_set.k or all(
+        count_occurrences(p, pat, cap=1) == 0 for pat in pattern_set.patterns)
 
 
 def _exactly_once_tau(pattern_set: PatternSet) -> Permutation:

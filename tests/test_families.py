@@ -15,7 +15,7 @@ from permpat.families import (
     contains_exactly_once,
     parse_set_expression,
 )
-from permpat.enumeration import count_avoiders
+from permpat.enumeration import count_avoiders, enumerate_avoiders
 
 from conftest import complement
 
@@ -237,6 +237,13 @@ class TestPredicates:
     def test_exactly_once_rejects_tkm_set(self):
         with pytest.raises(ValueError):
             contains_exactly_once(Permutation((1, 3, 2)), build_tkm(3, 1))
+
+    def test_a_permutation_shorter_than_k_avoids_without_reading_patterns(
+            self, monkeypatch):
+        monkeypatch.setattr(families, "_family_patterns",
+                            lambda k, m: pytest.fail("patterns listed"))
+        assert avoids_all(Permutation((2, 1)), build_tkm(9, 9))
+        assert len(list(enumerate_avoiders(6, build_tkm(9, 9)))) == 720
 
     def test_every_long_permutation_contains_a_length3_pattern(self):
         # monotone-subsequence sanity bound, brute-verified at k=3, n=5
