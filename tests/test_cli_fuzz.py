@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from permpat.cli import main
 
-# generous: the slowest drawn run, verify --claims all --n-max 4, takes
-# well under a second
+# generous: with n <= 6 and --n-max <= 4, each drawn run takes well under
+# a second
 TIME_BOUND_S = 10
 
 _digits = st.text("0123456789", min_size=1, max_size=10)

@@ -172,7 +172,7 @@ class TestSetConsistency:
                        tau=None if tau is None else parse_compact(tau))
 
     def test_empty_set_rejected(self):
-        # it once counted 24 avoiders at n=4, and its label "{}" does not parse
+        # every permutation would avoid it, and its label "{}" does not parse
         with pytest.raises(ValueError, match="nonempty"):
             PatternSet(k=0)
 
@@ -191,13 +191,13 @@ class TestSetConsistency:
     def test_every_family_set_round_trips(self, k):
         sets = [(ms, None) for r in range(1, k + 1)
                 for ms in combinations(range(1, k + 1), r)]
-        sets += [((tau.values[0],), tau) for tau in _sorted_members(k, range(1, k + 1))]
+        sets += [((tau.values[0],), tau)
+                 for tau in _sorted_members(k, range(1, k + 1))]
         for ms, tau in sets:
             ps = (build_union_tkm(k, ms) if tau is None
                   else build_m(k, ms[0], tau))
             assert parse_set_expression(ps.label()) == ps
             assert ps.patterns == _sorted_members(k, ms, tau)
-            assert len(ps) == len(ps.patterns)
 
     def test_family_sets_list_no_patterns_until_read(self, monkeypatch):
         built = []
