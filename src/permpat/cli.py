@@ -96,6 +96,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     selection = "all" if args.claims == "all" else [
         tok.strip() for tok in args.claims.split(",") if tok.strip()]
     records = run_suite(selection, args.n_max, parallel=args.parallel)
+    if args.out:  # before any output, so that exit 2 leaves stdout empty
+        try:
+            write_report(records, args.format, args.out)
+        except OSError as exc:
+            raise ValueError(f"cannot write the report: {exc}") from exc
     failures = failed_records(records)
     args.status = 1 if failures else 0  # stands if the reader goes away
     for rec in failures:
@@ -108,10 +113,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for r in records if r.passed)
     print(f"{passed}/{len(records)} pass")
     if args.out:
-        try:
-            write_report(records, args.format, args.out)
-        except OSError as exc:
-            raise ValueError(f"cannot write the report: {exc}") from exc
         print(f"report written to {args.out}")
     return args.status
 

@@ -2,19 +2,18 @@
 
 Two independent computation routes live here on purpose:
 
-* The optimized route decides each entry when it is placed.  Arbitrary
-  pattern lists, avoided or reached an exact number of times, are counted
-  on West's generating tree of standardized prefixes, `_count_exactly`,
-  which visits each good standardized prefix once, not once per value
-  set, and checks a candidate by a capped pinned-pattern search per member
-  over the occurrences that would END at it (appending a value can create
-  no other occurrence); the verifier's noonan and bona oracles (exactly
-  one 123, exactly one 132) count this way.  Everything else goes through
-  one iterative prefix walker, `_walk`, which places actual values in
-  lexicographic order: the listings, and the first-entry families T(k,m),
-  their unions and the exactly-once classes, whose rules know every family
-  occurrence an entry starts from its rank among the unused values (its
-  inversion-table digit: the smaller entries still to follow).
+* The optimized route decides each entry when it is placed.  In a
+  first-entry union, an entry's rank among the unused values (its
+  inversion-table digit) fixes every family occurrence it starts and is
+  chosen on its own, so the union is the product of the rows of allowed
+  ranks, `_rank_rows`, counted and listed as such.  Arbitrary pattern lists,
+  avoided or reached an exact number of times, are counted on West's
+  generating tree of standardized prefixes, `_count_exactly`, which visits
+  each good standardized prefix once and checks a candidate by a capped
+  pinned-pattern search per member over the occurrences that would END at
+  it; the verifier's noonan and bona oracles count this way.  The
+  exactly-once classes and the ad hoc listings use `_walk`, one iterative
+  prefix walker over actual values.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, so the two routes cross-validate
@@ -27,14 +26,15 @@ Two independent computation routes live here on purpose:
 Every entry point takes the class's one `PatternSet`; the exactly-once ones
 take an M(k,m;tau) set and read k, m and tau from it.  Nothing is cached
 between calls.  The listings check their arguments when called, then stream:
-each permutation is re-verified and yielded as the walk reaches it.  All
+each permutation is re-verified and yielded as the search reaches it.  All
 counts are exact Python integers; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations as _permutations
-from math import comb, factorial
+from itertools import (chain, combinations, permutations as _permutations,
+                       product)
+from math import comb, factorial, prod
 from typing import Iterator
 
 from .core import Permutation, PinnedPattern
@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 12
-# force stops here.  The rules' rows are O(n·k·|ms|), but work grows fast in
-# n: the tree counts the class of one {21} in cubic time (62 s of CPU at
+# force stops here.  A union counts in O(n·k·|ms|), but other work grows
+# fast: the tree counts the class of one {21} in cubic time (62 s of CPU at
 # n=2000), and the guard re-checks one listed M(9,5;tau) member for minutes.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
@@ -81,8 +81,8 @@ def _check_n(n: int, force: bool) -> None:
 # value unused[r] that may follow prefix, in increasing r, where unused is
 # the sorted list of values not yet placed.  The candidate unused[r] will be
 # followed by exactly r smaller entries and len(unused) - 1 - r larger ones
-# (its inversion-table digit), so the family and exactly-once rules decide
-# from r alone every occurrence the candidate starts, with no dead ends.
+# (its inversion-table digit), so the exactly-once rule decides from r alone
+# every occurrence the candidate starts, with no dead ends.
 #
 # `_count_family`, `_count_generic`, `_iter_avoiders` and
 # `_count_exactly_once_rec` stay as thin entry points: the benchmark's trace
@@ -127,13 +127,6 @@ def _rank_rows(n: int, k: int, ms: tuple[int, ...],
              if (c := sum(comb(r, m - 1) * comb(later - r, k - m)
                           for m in ms)) < below]
             for later in range(n)]
-
-
-def _family_rule(n: int, k: int, ms: tuple[int, ...]):
-    """Avoid the union of T(k,m) for m in ms: allow the ranks starting none."""
-    allowed = [[(r, None) for r, _ in row]
-               for row in _rank_rows(n, k, ms, 1)]
-    return lambda prefix, unused, state: allowed[len(unused) - 1]
 
 
 def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
@@ -183,7 +176,7 @@ def _count_exactly(n: int, patterns: tuple[tuple[int, ...], ...],
 
 def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
     """Count avoiders of the union of T(k,m) for m in ms."""
-    return sum(1 for _ in _walk(n, _family_rule(n, k, ms)))
+    return prod(map(len, _rank_rows(n, k, ms, 1)))
 
 
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
@@ -224,11 +217,15 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
-    """Yield avoiders in lexicographic order."""
+    """Yield avoiders in lexicographic order.  A union's are its rank rows'
+    product, first entry outermost; a rank indexes the values still unused."""
     if pattern_set.kind == "union":
-        rule = _family_rule(n, pattern_set.k, pattern_set.ms)
-    else:
-        rule = _generic_rule(tuple(p.values for p in pattern_set.patterns))
+        rows = _rank_rows(n, pattern_set.k, pattern_set.ms, 1)
+        for ranks in product(*([r for r, _ in row] for row in reversed(rows))):
+            unused = list(range(1, n + 1))
+            yield Permutation(tuple(unused.pop(r) for r in ranks))
+        return
+    rule = _generic_rule(tuple(p.values for p in pattern_set.patterns))
     for prefix in _walk(n, rule):
         yield Permutation(tuple(prefix))
 
@@ -259,9 +256,9 @@ def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
 
 def count_avoiders(n: int, pattern_set: PatternSet, *,
                    force: bool = False) -> int:
-    """|S_n(pattern_set)|, by the pruned prefix walk or generating tree,
-    without materializing permutations.  The tests check it against the
-    unpruned scan, `_scan_count(n, (patterns,), 1).get((0,), 0)`."""
+    """|S_n(pattern_set)|, as the product of a union's rank rows or on the
+    generating tree.  The tests check it against the unpruned scan,
+    `_scan_count(n, (patterns,), 1).get((0,), 0)`."""
     _check_n(n, force)
     if pattern_set.kind == "union":
         return _count_family(n, pattern_set.k, pattern_set.ms)

@@ -68,3 +68,13 @@ def test_traced_enumerate_guard_runs_through_the_wrapped_kernel(tmp_path):
     assert len(proc.stdout.splitlines()) == 162
     assert totals["families.avoids_all"][0] == 162
     assert totals["core.count_occurrences"][0] == 162 * 6
+
+
+def test_traced_union_listing_is_timed_as_the_family_walk(tmp_path):
+    # each step of the union's listing is a walk_family span, one per member
+    # and one that ends it; the guard checks each member once
+    proc, totals = traced(tmp_path, "cli", "enumerate", "--set", "U(4;1,2)",
+                          "-n", "6")
+    assert len(proc.stdout.splitlines()) == 48
+    assert totals["enumeration.walk_family"][0] == 48 + 1
+    assert totals["families.avoids_all"][0] == 48

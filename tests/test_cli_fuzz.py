@@ -4,6 +4,7 @@ with a documented exit code and never with a traceback."""
 import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,10 @@ from permpat.cli import main
 # generous: with n <= 6 and --n-max <= 4, each drawn run takes well under
 # a second
 TIME_BOUND_S = 10
+
+# inside a directory that does not exist, so a report is never written
+_UNWRITABLE_REPORT = str(Path(__file__).parent / "no-such-directory"
+                         / "report.json")
 
 _digits = st.text("0123456789", min_size=1, max_size=10)
 
@@ -80,7 +85,8 @@ def _argv(draw):
                      "", ","])),
                 # always given: the default, 9, runs the full grid
                 "--n-max", draw(_mostly(1, 4, -1, 4)),
-                *opt("--format", st.sampled_from(["json", "csv", "xml"]))]
+                *opt("--format", st.sampled_from(["json", "csv", "xml"])),
+                *opt("--out", st.just(_UNWRITABLE_REPORT), 0.3)]
     else:
         argv = [command, draw(st.sampled_from(
                     ["prepend", "insertbottom", "removebottom", "other"])),

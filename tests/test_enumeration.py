@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permpat import enumeration
 from permpat.core import (Permutation, PinnedPattern, count_occurrences,
                           parse_compact)
 from permpat.enumeration import (
@@ -12,7 +13,6 @@ from permpat.enumeration import (
     HARD_N_LIMIT,
     _count_exactly,
     _count_generic,
-    _family_rule,
     _rank_rows,
     _generic_rule,
     _scan_count,
@@ -31,6 +31,8 @@ from permpat.families import (
     build_union_tkm,
     contains_exactly_once,
 )
+from permpat.formulas import (formula_corollary_interval, formula_theorem1,
+                              recurrence_coefficient)
 from permpat.verify import _count_both_exactly_one
 
 from conftest import (
@@ -112,11 +114,10 @@ class TestFamilyRuleTable:
             for size in range(1, k + 1):
                 for ms in combinations(range(1, k + 1), size):
                     for n in range(1, 15):
-                        rule = _family_rule(n, k, ms)
-                        got = [rule([], [0] * (later + 1), None)
-                               for later in range(n)]
+                        got = [[r for r, _ in row]
+                               for row in _rank_rows(n, k, ms, 1)]
                         assert got == [
-                            [(r, None) for r in range(later + 1)
+                            [r for r in range(later + 1)
                              if all(r < m - 1 or later - r < k - m for m in ms)]
                             for later in range(n)], (k, ms, n)
 
@@ -136,6 +137,37 @@ class TestFamilyRuleTable:
                                       for m in ms)) < below]
                         for later in range(n)], (k, ms, below, n)
                     assert max(map(len, rows)) <= 2 * k, (k, ms, below, n)
+
+
+class TestUnionsAreRankRowProducts:
+    """A union is counted as the product of its rank rows and listed as
+    their lexicographic product, so its closed forms hold far past the
+    desk-scale limit."""
+
+    def test_theorem1_at_2000(self):
+        assert (count_avoiders(2000, build_tkm(9, 5), force=True)
+                == formula_theorem1(2000, 9))
+
+    def test_interval_union_at_500(self):
+        assert (count_avoiders(500, build_union_tkm(5, (2, 3, 4)), force=True)
+                == formula_corollary_interval(500, 5, 2, 4))
+
+    @pytest.mark.parametrize("ms", [
+        ms for size in range(1, 5) for ms in combinations(range(1, 5), size)])
+    def test_every_k4_union_follows_its_recurrence_at_500(self, ms):
+        union = build_union_tkm(4, ms)
+        assert (count_avoiders(500, union, force=True)
+                == recurrence_coefficient(4, ms)
+                * count_avoiders(499, union, force=True))
+
+    def test_a_union_is_never_walked(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("a union went through _walk")
+
+        monkeypatch.setattr(enumeration, "_walk", walk)
+        union = build_union_tkm(4, (1, 2))
+        assert count_avoiders(6, union) == 48
+        assert len(list(enumerate_avoiders(6, union))) == 48
 
 
 class TestCountAvoiders:
