@@ -5,17 +5,22 @@ doubles as a pattern.  An occurrence of a pattern inside a host permutation
 is a strictly increasing tuple of positions whose values appear in the same
 relative order as the pattern's entries.
 
-Occurrence search is one iterative depth-first subsequence walk,
-`_occurrences`, shared by counting and listing.  It prunes twice: by
-remaining length (not enough host positions left), and by a value window
-(the next matched host value must fall strictly between the tightest
-already matched values below and above the pattern entry being matched).
+Two iterative depth-first subsequence walks do all the searching.
+`_occurrences` finds the occurrences of one pattern, and their positions,
+for counting and listing.  It prunes twice: by remaining length (not enough
+host positions left), and by a value window (the next matched host value
+must fall strictly between the tightest already matched values below and
+above the pattern entry being matched).  `PatternTrie.occurs_in` decides
+whether any pattern of a set occurs at all, in one walk over the trie of
+the set's pattern prefixes with the same two prunings, so a prefix that
+several patterns share is searched once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Permutation",
@@ -214,3 +219,68 @@ class PinnedPattern:
         walk = (_occurrences(prefix, self.lower, self.upper, [value] * m, 1)
                 if m > 1 else iter(((value,),)))
         return _count_up_to(walk, cap)
+
+
+class PatternTrie:
+    """Containment test for a set of patterns of one length, walked over the
+    trie of their prefixes.
+
+    A node at depth j stands for one distinct prefix of j slots, up to
+    order, and is a list of j+1 entries: entry g is the child reached when
+    the next slot's value lies above exactly g of the prefix's values (its
+    gap, which fixes the same window as that slot's window refs), or None.
+    Patterns whose first j slots have the same relative order share their
+    first j nodes, so a host value enters at most one child, found by
+    bisecting the values matched so far.
+    """
+
+    __slots__ = ("length", "root")
+
+    def __init__(self, patterns: Iterable[Sequence[int]]):
+        self.root: list = [None]
+        self.length = 0
+        for pattern in patterns:
+            self.length = len(pattern)
+            node = self.root
+            for j, v in enumerate(pattern):
+                gap = sum(u < v for u in pattern[:j])
+                child = node[gap]
+                if child is None:
+                    child = node[gap] = [None] * (j + 2)
+                node = child
+
+    def occurs_in(self, host: Sequence[int]) -> bool:
+        """True when some pattern of the set occurs in `host`.
+
+        Like `_occurrences`, each depth keeps one resumable scan over the
+        host positions that leave room for the slots after it; the walk
+        stops at the first complete match."""
+        n = len(host)
+        last = self.length - 1
+        if not 0 <= last < n:
+            return False
+        matched: list[int] = []  # the values of chosen[:j], sorted
+        chosen = [0] * last
+        nodes: list = [self.root] + [None] * last
+        scans: list = [iter(range(n - last))] + [None] * last
+        j = 0
+        while True:
+            node = nodes[j]
+            for p in scans[j]:
+                child = node[bisect(matched, host[p])]
+                if child is not None:
+                    break
+            else:
+                if j == 0:
+                    return False
+                j -= 1
+                matched.remove(chosen[j])
+                continue
+            if j == last:
+                return True
+            v = host[p]
+            insort(matched, v)
+            chosen[j] = v
+            j += 1
+            nodes[j] = child
+            scans[j] = iter(range(p + 1, n - last + j))

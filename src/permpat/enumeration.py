@@ -24,10 +24,14 @@ Two independent computation routes live here on purpose:
   benchmark's trace mode, which wraps it by name.
 
 Every entry point takes the class's one `PatternSet`; the exactly-once ones
-take an M(k,m;tau) set and read k, m and tau from it.  Nothing is cached
-between calls.  The listings check their arguments when called, then stream:
-each permutation is re-verified and yielded as the search reaches it.  All
-counts are exact Python integers; nothing here touches floating point.
+take an M(k,m;tau) set and read k, m and tau from it.  Nothing here is
+cached between calls; a `PatternSet` keeps the prefix trie it builds.  The
+listings check their arguments when called, then stream: each permutation
+is re-verified and yielded as the search reaches it.  The re-check is
+independent of the rank rows and the rules: it searches every pattern of
+the set through `core`, in one walk per member over the set's prefix trie
+(plus one capped count of tau for an exactly-once class).  All counts are
+exact Python integers; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ __all__ = [
 DESK_SCALE_LIMIT = 12
 # force stops here.  A union counts in O(n·k·|ms|), but other work grows
 # fast: the tree counts the class of one {21} in cubic time (62 s of CPU at
-# n=2000), and the guard re-checks one listed M(9,5;tau) member for minutes.
+# n=2000), and the guard's trie walk does not finish within minutes on a
+# near-identity member of Tkm(9,5) or M(9,5;tau), since every increasing
+# prefix of their patterns matches it and no window prunes those prefixes.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.

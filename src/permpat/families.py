@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import permutations as _permutations
 from typing import Iterable
 
-from .core import Permutation, count_occurrences, parse_compact
+from .core import Permutation, PatternTrie, count_occurrences, parse_compact
 
 __all__ = [
     "PatternSet",
@@ -82,6 +82,11 @@ class PatternSet:
         return tuple(p for m in self.ms for p in _family_patterns(self.k, m)
                      if p != self.tau)
 
+    @cached_property
+    def trie(self) -> PatternTrie:
+        """The trie of the members' prefixes, built on first use."""
+        return PatternTrie(p.values for p in self.patterns)
+
     def __len__(self) -> int:
         return len(self.patterns)
 
@@ -123,10 +128,10 @@ def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
 
 
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
-    """True when `p` contains no occurrence of any pattern in the set."""
-    # a pattern longer than p cannot occur in it
-    return len(p) < pattern_set.k or all(
-        count_occurrences(p, pat, cap=1) == 0 for pat in pattern_set.patterns)
+    """True when `p` contains no occurrence of any pattern in the set: one
+    walk over the set's prefix trie checks every member at once."""
+    # a pattern longer than p cannot occur in it, and the trie is not built
+    return len(p) < pattern_set.k or not pattern_set.trie.occurs_in(p.values)
 
 
 def _exactly_once_tau(pattern_set: PatternSet) -> Permutation:

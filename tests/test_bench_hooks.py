@@ -62,12 +62,22 @@ def test_traced_count_runs_through_the_wrapped_walker(tmp_path, argv, output,
 
 
 def test_traced_enumerate_guard_runs_through_the_wrapped_kernel(tmp_path):
-    # one avoids_all per member, one capped count per member and pattern
+    # one avoids_all per member, which walks the set's prefix trie and so
+    # makes no per-pattern count
     proc, totals = traced(tmp_path, "cli", "enumerate", "--set", "Tkm(4,2)",
                           "-n", "6")
     assert len(proc.stdout.splitlines()) == 162
     assert totals["families.avoids_all"][0] == 162
-    assert totals["core.count_occurrences"][0] == 162 * 6
+    assert "core.count_occurrences" not in totals
+
+
+def test_traced_exactly_once_guard_counts_tau_once_per_member(tmp_path):
+    # the rest of the set is avoided through the trie; tau alone is counted
+    proc, totals = traced(tmp_path, "cli", "enumerate", "--set", "M(4,2;2143)",
+                          "-n", "6")
+    assert len(proc.stdout.splitlines()) == 9
+    assert totals["families.contains_exactly_once"][0] == 9
+    assert totals["core.count_occurrences"][0] == 9
 
 
 def test_traced_union_listing_is_timed_as_the_family_walk(tmp_path):

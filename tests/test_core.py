@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from permpat.cli import main
 from permpat.core import (
+    PatternTrie,
     Permutation,
     PinnedPattern,
     count_occurrences,
@@ -193,6 +194,31 @@ class TestPinnedPattern:
         # a cap below 1 once counted every occurrence ending at the value
         with pytest.raises(ValueError, match="cap must be a positive"):
             PinnedPattern(pattern).count_ending_at((1, 2, 3), 4, cap)
+
+
+class TestPatternTrie:
+    def test_prefixes_that_share_an_order_share_a_node(self):
+        # T(4,2): one first slot, its second below or above, and so on
+        trie = PatternTrie(p for p in permutations(range(1, 5)) if p[0] == 2)
+        widths = []
+        level = [trie.root]
+        for _ in range(4):
+            level = [child for node in level for child in node
+                     if child is not None]
+            widths.append(len(level))
+        assert widths == [1, 2, 4, 6]
+
+    @given(perms(max_n=8), st.lists(patterns(max_m=4), min_size=1,
+                                    max_size=5))
+    def test_matches_the_occurrence_walk(self, host, pats):
+        k = len(pats[0])
+        pats = [p for p in pats if len(p) == k]
+        expected = any(count_occurrences(host, p, cap=1) for p in pats)
+        trie = PatternTrie(p.values for p in pats)
+        assert trie.occurs_in(host.values) == expected
+
+    def test_an_empty_trie_occurs_nowhere(self):
+        assert not PatternTrie([]).occurs_in((1, 2, 3))
 
 
 class TestParsing:

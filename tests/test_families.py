@@ -2,9 +2,10 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permpat import families
-from permpat.core import Permutation, parse_compact
+from permpat.core import Permutation, count_occurrences, parse_compact
 from permpat.families import (
     PatternSet,
     adhoc_set,
@@ -250,6 +251,93 @@ class TestPredicates:
         all_s3 = adhoc_set(Permutation(p) for p in permutations((1, 2, 3)))
         for perm in permutations(range(1, 6)):
             assert not avoids_all(Permutation(perm), all_s3)
+
+
+def _every_set_with_k_at_most_4():
+    unions = [build_union_tkm(k, ms) for k in (2, 3, 4)
+              for size in range(1, k + 1)
+              for ms in combinations(range(1, k + 1), size)]
+    m_sets = [build_m(4, m, tau) for m in range(1, 5)
+              for tau in build_tkm(4, m).patterns]
+    adhoc = [parse_set_expression(text) for text in (
+        "{1}", "{12}", "{21}", "{2413,3142}", "{123,321}", "{1324}",
+        "{4231}", "{132,213,321}")]
+    return unions + m_sets + adhoc
+
+
+@pytest.fixture(scope="module")
+def small_hosts():
+    """Every permutation of S_1..S_7 with the patterns of length at most 4
+    it contains, each found by its own capped count."""
+    pats = [Permutation(p) for k in range(1, 5)
+            for p in permutations(range(1, k + 1))]
+    hosts = []
+    for n in range(1, 8):
+        for perm in permutations(range(1, n + 1)):
+            host = Permutation(perm)
+            hosts.append((host, {p for p in pats if len(p) <= n
+                                 and count_occurrences(host, p, cap=1)}))
+    return hosts
+
+
+class TestSetContainmentWalk:
+    """avoids_all walks the set's prefix trie once; each pattern counted on
+    its own by the occurrence walk is the oracle."""
+
+    @pytest.mark.parametrize("pattern_set", _every_set_with_k_at_most_4(),
+                             ids=PatternSet.label)
+    def test_exhaustive_to_n7(self, pattern_set, small_hosts):
+        members = set(pattern_set.patterns)
+        for host, contained in small_hosts:
+            assert avoids_all(host, pattern_set) == members.isdisjoint(contained)
+
+    @given(st.data())
+    def test_random_sets_against_the_occurrence_walk(self, data):
+        k = data.draw(st.integers(1, 5))
+        pats = data.draw(st.lists(st.permutations(range(1, k + 1)),
+                                  min_size=1, max_size=6, unique_by=tuple))
+        n = data.draw(st.integers(1, 12))
+        host = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        pattern_set = adhoc_set(Permutation(tuple(p)) for p in pats)
+        assert avoids_all(host, pattern_set) == (not any(
+            count_occurrences(host, p, cap=1) for p in pattern_set.patterns))
+
+    def test_a_length_1500_pattern_does_not_recurse(self):
+        n = 1500
+        pattern = Permutation(tuple(range(1, n + 1)))
+        pattern_set = adhoc_set([pattern])
+        assert not avoids_all(pattern, pattern_set)
+        # the last two entries swapped: one must be dropped, and the walk
+        # backs out of depth n-1 to find the match that drops the other
+        host = Permutation(tuple(range(1, n)) + (n + 1, n))
+        assert not avoids_all(host, pattern_set)
+        assert avoids_all(Permutation(tuple(range(n + 1, 0, -1))), pattern_set)
+        swapped = tuple(range(1, n - 1)) + (n, n - 1)
+        assert avoids_all(Permutation(swapped), pattern_set)
+
+    def test_a_short_permutation_builds_no_trie(self):
+        pattern_set = build_tkm(9, 9)
+        assert avoids_all(Permutation((2, 1)), pattern_set)
+        assert "trie" not in vars(pattern_set)
+
+    def test_a_listing_builds_its_set_trie_once(self, monkeypatch):
+        built = []
+        real = families.PatternTrie
+
+        def counting_trie(patterns):
+            built.append(1)
+            return real(patterns)
+
+        monkeypatch.setattr(families, "PatternTrie", counting_trie)
+        assert len(list(enumerate_avoiders(7, build_tkm(4, 2)))) == 486
+        assert built == [1]
+
+    def test_a_built_trie_leaves_equality_and_hash_alone(self):
+        built, fresh = build_tkm(4, 2), build_tkm(4, 2)
+        assert not avoids_all(Permutation((2, 1, 3, 4)), built)
+        assert "trie" in vars(built) and "trie" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert len({built, fresh}) == 1
 
 
 class TestSetExpressions:
