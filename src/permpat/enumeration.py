@@ -11,21 +11,26 @@ Two independent computation routes live here on purpose:
   generating tree of standardized prefixes, `_count_exactly`, which visits
   each good standardized prefix once and checks a candidate by a capped
   pinned-pattern search per member over the occurrences that would END at
-  it; the verifier's noonan and bona oracles count this way.  The
-  exactly-once classes and the ad hoc listings use `_walk`, one iterative
-  prefix walker over actual values.
+  it; the verifier's noonan and bona oracles count this way.  An
+  exactly-once class is decided by rank too, with a state of pending ranks:
+  it is counted by levels of those states, a `{state: ways}` map carried
+  from the first entry to the last, and listed by `_walk`, one iterative
+  prefix walker, over the same steps.  The ad hoc listings use `_walk` over
+  actual values.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
-  the occurrence machinery of `core`, so the two routes cross-validate
-  each other.  The tests' avoider oracle, `occurrence_histogram` (a plain
-  {occurrences: permutations} dict) and the verifier's
-  exactly-one-123-and-one-132 oracle read it.  No verifier claim reads
-  `occurrence_histogram`: it stays for library callers and for the
-  benchmark's trace mode, which wraps it by name.
+  the occurrence machinery of `core`, and looks each subsequence up by its
+  values in a table of the value tuples that match a pattern, so the two
+  routes cross-validate each other.  The tests' avoider oracle,
+  `occurrence_histogram` (a plain {occurrences: permutations} dict) and
+  the verifier's exactly-one-123-and-one-132 oracle read it.  No verifier
+  claim reads `occurrence_histogram`: it stays for library callers and for
+  the benchmark's trace mode, which wraps it by name.
 
 Every entry point takes the class's one `PatternSet`; the exactly-once ones
 take an M(k,m;tau) set and read k, m and tau from it.  Nothing here is
-cached between calls; a `PatternSet` keeps the prefix trie it builds.  The
+cached between calls: an exactly-once rule keeps its steps for one count or
+listing, and a `PatternSet` keeps the prefix trie it builds.  The
 listings check their arguments when called, then stream: each permutation
 is re-verified and yielded as the search reaches it.  The re-check is
 independent of the rank rows and the rules: it searches every pattern of
@@ -55,11 +60,13 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 12
-# force stops here.  A union counts in O(n·k·|ms|), but other work grows
-# fast: the tree counts the class of one {21} in cubic time (62 s of CPU at
-# n=2000), and the guard's trie walk does not finish within minutes on a
-# near-identity member of Tkm(9,5) or M(9,5;tau), since every increasing
-# prefix of their patterns matches it and no window prunes those prefixes.
+# force stops here.  A union counts in O(n·k·|ms|) and an exactly-once class
+# by a few rank states per entry (0.3 s of CPU for M(9,1;123456789) at
+# n=2000), but other work grows fast: the tree counts the class of one {21}
+# in cubic time (62 s of CPU at n=2000), and the guard's trie walk does not
+# finish within minutes on a near-identity member of Tkm(9,5) or M(9,5;tau),
+# since every increasing prefix of their patterns matches it and no window
+# prunes those prefixes.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.
@@ -88,7 +95,11 @@ def _check_n(n: int, force: bool) -> None:
 # the sorted list of values not yet placed.  The candidate unused[r] will be
 # followed by exactly r smaller entries and len(unused) - 1 - r larger ones
 # (its inversion-table digit), so the exactly-once rule decides from r alone
-# every occurrence the candidate starts, with no dead ends.
+# every occurrence the candidate starts, with no dead ends.  That rule keeps
+# its state in ranks too, so it is given as steps(later, state), the list of
+# (r, state') for later = len(unused) - 1 entries still to come: `_walk`
+# lists the class through it and `_count_exactly_once_rec` sums it level by
+# level.
 #
 # `_count_family`, `_count_generic`, `_iter_avoiders` and
 # `_count_exactly_once_rec` stay as thin entry points: the benchmark's trace
@@ -201,17 +212,17 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
     every vector in the tally is exact.
     """
     k = len(groups[0][0])
-    slots = range(k)
-    # Sorting the slots of a subsequence by value gives the inverse of its
-    # pattern, so each pattern is looked up by its inverse.
-    group_of = {tuple(sorted(slots, key=p.__getitem__)): g
+    # Each k-set of values, placed in a pattern's order, is a value tuple
+    # that standardizes to that pattern, so a subsequence is looked up as it
+    # stands.
+    group_of = {tuple(values[i - 1] for i in p): g
+                for values in combinations(range(1, n + 1), k)
                 for g, patterns in enumerate(groups) for p in patterns}
     tally: dict[tuple[int, ...] | None, int] = {}
     for perm in _permutations(range(1, n + 1)):
         counts = [0] * len(groups)
         vector: tuple[int, ...] | None = None
-        for sub in combinations(perm, k):
-            g = group_of.get(tuple(sorted(slots, key=sub.__getitem__)))
+        for g in map(group_of.get, combinations(perm, k)):
             if g is not None:
                 counts[g] += 1
                 if counts[g] == cap:
@@ -274,41 +285,58 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
 def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     """Avoid T(k,m) minus tau and contain tau exactly once: only ranks that
     start at most one occurrence are tried, and one that starts one is
-    refused once an occurrence has started.  Its other values are then
+    refused once an occurrence has started.  Its other entries are then
     known: all, or none, of the smaller and of the larger values still
-    unused.  The state is the tuple of those values not yet placed, in the
-    order tau places them; a candidate among them that is not the next one
-    is refused, and the last entry needs the occurrence to have started.
+    unused.  The state is the tuple of their ranks among the unused values,
+    in the order tau places them; placing the entry at rank r moves each
+    pending rank above r down by one.  A candidate among them that is not
+    the next one is refused, and the last entry needs the occurrence to have
+    started.  A step depends only on the count of entries still to come and
+    the state, so each is computed once per rule.
     """
     rows = _rank_rows(n, k, (m,), 2)
+    memo: dict = {}
 
-    def children(prefix, unused, state):
-        later = len(unused) - 1
+    def steps(later: int, state) -> list:
+        key = (later, state)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        found = []
         for r, starts in rows[later]:
-            v = unused[r]
-            if starts:
-                if state is not None:
+            if state is None:
+                if not starts:
+                    if later:
+                        found.append((r, None))
                     continue
-                values = ((unused[:r] if m > 1 else []) + [v]
-                          + (unused[r + 1:] if m < k else []))
-                child = tuple(values[t - 1] for t in tau[1:])
-            elif state is not None and v in state:
-                if v != state[0]:
-                    continue
-                child = state[1:]
+                # the occurrence's entries are k consecutive ranks from lo
+                lo = 0 if m > 1 else r
+                pending = [lo + t - 1 for t in tau[1:]]
+            elif starts or r in state[1:]:
+                continue
             else:
-                child = state
-            if later or child is not None:
-                yield r, child
+                pending = state[1:] if r in state else state
+            found.append((r, tuple(s - (s > r) for s in pending)))
+        memo[key] = found
+        return found
 
-    return children
+    return steps
 
 
 def _count_exactly_once_rec(n: int, k: int, m: int,
                             tau: tuple[int, ...]) -> int:
     """Count permutations avoiding T(k,m) minus tau while containing tau
-    exactly once."""
-    return sum(1 for _ in _walk(n, _exactly_once_rule(n, k, m, tau)))
+    exactly once, level by level: the number of prefixes reaching each rule
+    state, from the first entry to the last."""
+    steps = _exactly_once_rule(n, k, m, tau)
+    level = {None: 1}
+    for later in range(n - 1, -1, -1):
+        below: dict = {}
+        for state, ways in level.items():
+            for _, child in steps(later, state):
+                below[child] = below.get(child, 0) + ways
+        level = below
+    return sum(level.values())
 
 
 def count_exactly_once(n: int, pattern_set: PatternSet, *,
@@ -328,8 +356,11 @@ def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
     arguments are checked at the call, before anything is iterated."""
     _check_n(n, force)
     tau = _exactly_once_tau(pattern_set)
-    rule = _exactly_once_rule(n, pattern_set.k, pattern_set.ms[0], tau.values)
-    members = (Permutation(tuple(prefix)) for prefix in _walk(n, rule))
+    steps = _exactly_once_rule(n, pattern_set.k, pattern_set.ms[0],
+                               tau.values)
+    members = (Permutation(tuple(prefix)) for prefix in
+               _walk(n, lambda prefix, unused, state:
+                     steps(len(unused) - 1, state)))
     return _guarded(members, contains_exactly_once, pattern_set)
 
 

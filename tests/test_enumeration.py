@@ -12,7 +12,9 @@ from permpat.enumeration import (
     DESK_SCALE_LIMIT,
     HARD_N_LIMIT,
     _count_exactly,
+    _count_exactly_once_rec,
     _count_generic,
+    _exactly_once_rule,
     _rank_rows,
     _generic_rule,
     _scan_count,
@@ -32,6 +34,7 @@ from permpat.families import (
     contains_exactly_once,
 )
 from permpat.formulas import (formula_corollary_interval, formula_theorem1,
+                              formula_theorem3, formula_theorem4,
                               recurrence_coefficient)
 from permpat.verify import _count_both_exactly_one
 
@@ -168,6 +171,47 @@ class TestUnionsAreRankRowProducts:
         union = build_union_tkm(4, (1, 2))
         assert count_avoiders(6, union) == 48
         assert len(list(enumerate_avoiders(6, union))) == 48
+
+
+def walk_exactly_once(n, k, m, tau):
+    """The members of S_n(T(k,m); tau) as `_walk` lists them from the rule's
+    steps, which the level count sums instead."""
+    steps = _exactly_once_rule(n, k, m, tau)
+    return _walk(n, lambda prefix, unused, state:
+                 steps(len(unused) - 1, state))
+
+
+class TestExactlyOnceLevelCounts:
+    """An exactly-once class is counted level by level over the rule's rank
+    states, so theorems 3 and 4 hold far past the desk-scale limit; the walk
+    over the same steps stays its cross-check."""
+
+    @pytest.mark.parametrize("k, m", [(k, m) for k in range(2, 5)
+                                      for m in range(1, k + 1)])
+    def test_matches_the_walk_up_to_nine(self, k, m):
+        for tau in build_tkm(k, m).patterns:
+            for n in range(1, 10):
+                walked = sum(1 for _ in walk_exactly_once(n, k, m, tau.values))
+                assert (_count_exactly_once_rec(n, k, m, tau.values)
+                        == walked), (tau, n)
+
+    def test_a_count_is_never_walked(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("an exactly-once count went through _walk")
+
+        monkeypatch.setattr(enumeration, "_walk", walk)
+        assert count_exactly_once(6, build_m(4, 2, parse_compact("2143"))) == 9
+
+    @pytest.mark.parametrize("n, k, m, tau", [
+        (2000, 9, 5, "512346789"),
+        (2000, 9, 1, "123456789"),
+        (500, 4, 2, "2143"),
+    ])
+    def test_theorems_at_large_n(self, n, k, m, tau):
+        expected = (formula_theorem3(n, k) if m == 1
+                    else formula_theorem4(n, k, m))
+        avoid = build_m(k, m, parse_compact(tau))
+        assert count_exactly_once(n, avoid, force=True) == expected
 
 
 class TestCountAvoiders:
@@ -348,6 +392,35 @@ class TestHistogram:
             assert bucket == direct
 
 
+def brute_scan_tally(n, groups, cap):
+    """`_scan_count`'s tally, from a Counter of every subsequence's
+    flattening over S_n."""
+    k = len(groups[0][0])
+    tally = Counter()
+    for perm in permutations(range(1, n + 1)):
+        flats = Counter(map(brute_flatten, combinations(perm, k)))
+        vector = tuple(sum(flats[p] for p in patterns) for patterns in groups)
+        if cap is not None and max(vector) >= cap:
+            vector = None
+        tally[vector] += 1
+    return dict(tally)
+
+
+class TestScanTable:
+    """The scan looks each subsequence up by its values; pattern groups of
+    length 4, capped and not, are checked against a brute tally, from n < k,
+    where every permutation tallies as all zeros."""
+
+    @pytest.mark.parametrize("groups", [
+        (((1, 3, 2, 4),), ((2, 4, 1, 3), (3, 1, 4, 2))),
+        (((1, 2, 3, 4), (4, 3, 2, 1)), ((1, 4, 3, 2),), ((2, 1, 4, 3),)),
+    ], ids=["1324|2413,3142", "1234,4321|1432|2143"])
+    @pytest.mark.parametrize("cap", [None, 1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_a_brute_tally(self, n, groups, cap):
+        assert _scan_count(n, groups, cap) == brute_scan_tally(n, groups, cap)
+
+
 class TestPrefixPruningSoundness:
     @settings(max_examples=60)
     @given(st.data())
@@ -469,6 +542,8 @@ class TestRouteDifferential:
     @settings(max_examples=25)
     @given(m_sets(), st.integers(1, 7))
     def test_exactly_once_routes_agree(self, avoid, n):
+        # the level count and the walk over the same rank steps, each
+        # against the brute filter
         members = [Permutation(p) for p in permutations(range(1, n + 1))
                    if brute_contains_exactly_once(p, avoid.tau.values)]
         assert count_exactly_once(n, avoid) == len(members)
