@@ -199,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="report format for --out (default json)")
     p_verify.add_argument("--out", default=None, help="write the report here")
     p_verify.add_argument("--parallel", action="store_true",
-                          help="fan claim groups out across processes")
+                          help="fan whole claims out across processes "
+                               "(one claim runs serially)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_map = sub.add_parser(

@@ -41,6 +41,7 @@ exact Python integers; nothing here touches floating point.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import (chain, combinations, permutations as _permutations,
                        product)
 from math import comb, factorial, prod
@@ -295,13 +296,9 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     the state, so each is computed once per rule.
     """
     rows = _rank_rows(n, k, (m,), 2)
-    memo: dict = {}
 
+    @cache
     def steps(later: int, state) -> list:
-        key = (later, state)
-        found = memo.get(key)
-        if found is not None:
-            return found
         found = []
         for r, starts in rows[later]:
             if state is None:
@@ -317,7 +314,6 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
             else:
                 pending = state[1:] if r in state else state
             found.append((r, tuple(s - (s > r) for s in pending)))
-        memo[key] = found
         return found
 
     return steps
@@ -364,10 +360,9 @@ def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
     return _guarded(members, contains_exactly_once, pattern_set)
 
 
-def occurrence_histogram(n: int, tau: Permutation, *,
-                         force: bool = False) -> dict[int, int]:
+def occurrence_histogram(n: int, tau: Permutation) -> dict[int, int]:
     """{r: permutations of S_n with exactly r occurrences of tau}, nonzero
     buckets only, by exhaustive unpruned scan (the oracle route)."""
-    _check_n(n, force)
+    _check_n(n, False)
     tally = _scan_count(n, ((tau.values,),))
     return {vector[0]: c for vector, c in tally.items()}

@@ -87,9 +87,6 @@ class PatternSet:
         """The trie of the members' prefixes, built on first use."""
         return PatternTrie(p.values for p in self.patterns)
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
     def label(self) -> str:
         """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)"."""
         if self.tau is not None:

@@ -21,10 +21,9 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations as _combinations, groupby as _groupby
+from itertools import combinations as _combinations
 from itertools import permutations as _permutations
 from math import factorial
 from pathlib import Path
@@ -312,12 +311,11 @@ def verify_claim(claim_id: str, params: Mapping[str, int | str]) -> Verification
     )
 
 
-def _all_but_n(p: dict) -> list:
-    return [value for name, value in p.items() if name != "n"]
-
-
-def _run_group(claim_id: str, group: list[dict]) -> list[VerificationRecord]:
-    return [verify_claim(claim_id, params) for params in group]
+def _run_claim(claim_id: str, n_max: int) -> list[VerificationRecord]:
+    """The records of one claim's bindings with n <= n_max, in binding
+    order: the unit of work one pool worker runs under parallel."""
+    return [verify_claim(claim_id, params)
+            for params in _CLAIMS[claim_id].bindings() if params["n"] <= n_max]
 
 
 def _resolve_selection(selection) -> list[str]:
@@ -348,20 +346,14 @@ def run_suite(selection="all", n_max: int = 9, *,
     if n_max > DESK_SCALE_LIMIT:
         raise ValueError(f"n_max must be <= {DESK_SCALE_LIMIT}; every "
                          f"claim's grid stops at n={_ENUM_CAP} or below")
-    # One group, the bindings of a claim that differ only in n, is what one
-    # worker process runs under parallel.
-    ids: list[str] = []
-    groups: list[list[dict]] = []
-    for name in _resolve_selection(selection):
-        kept = [p for p in _CLAIMS[name].bindings() if p["n"] <= n_max]
-        for _, group in _groupby(kept, _all_but_n):
-            ids.append(name)
-            groups.append(list(group))
-    if parallel and len(groups) > 1:
+    names = _resolve_selection(selection)
+    if parallel and len(names) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_group, ids, groups))
+            results = list(pool.map(_run_claim, names, [n_max] * len(names)))
     else:
-        results = list(map(_run_group, ids, groups))
+        results = [_run_claim(name, n_max) for name in names]
     return sorted((r for result in results for r in result),
                   key=lambda r: (r.claim, r.params))
 

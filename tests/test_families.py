@@ -39,7 +39,7 @@ class TestBuildTkm:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_size_is_factorial(self, k):
         for m in range(1, k + 1):
-            assert len(build_tkm(k, m)) == factorial(k - 1)
+            assert len(build_tkm(k, m).patterns) == factorial(k - 1)
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestBuildM:
 
     def test_m41(self):
         got = build_m(4, 1, parse_compact("1234"))
-        assert len(got) == 5
+        assert len(got.patterns) == 5
         assert parse_compact("1234") not in got.patterns
 
     def test_tau_not_in_family(self):
@@ -103,7 +103,7 @@ class TestBuildUnion:
         assert _values(build_union_tkm(3, (1, 2))) == {"123", "132", "213", "231"}
 
     def test_full_union_is_s3(self):
-        assert len(build_union_tkm(3, (1, 2, 3))) == 6
+        assert len(build_union_tkm(3, (1, 2, 3)).patterns) == 6
 
     def test_single_m_matches_tkm(self):
         assert set(build_union_tkm(4, (2,)).patterns) == set(build_tkm(4, 2).patterns)
@@ -348,7 +348,7 @@ class TestSetExpressions:
         ("{123,132}", 2),
     ])
     def test_parse_and_size(self, text, size):
-        assert len(parse_set_expression(text)) == size
+        assert len(parse_set_expression(text).patterns) == size
 
     @pytest.mark.parametrize("text", [
         "Tkm(3,1)", "M(4,2;2143)", "U(4;1,3)", "{123,132}",

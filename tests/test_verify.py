@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,20 +53,33 @@ class TestRegistry:
         assert [sum(p["n"] <= n_max for p in c.bindings())
                 for c in claims] == sizes
 
-    def test_groups_are_nonempty_and_within_n_max(self, monkeypatch):
-        # run_suite hands each group, the bindings of one claim that differ
-        # only in n, to _run_group: one worker task under parallel.
-        groups = []
-        monkeypatch.setattr(verify, "_run_group", lambda claim_id, group:
-                            groups.append((claim_id, group)) or [])
+    def test_each_claim_is_one_task_in_registry_order(self, monkeypatch):
+        # run_suite hands each selected claim to _run_claim once: one worker
+        # task under parallel, and a selection of one claim starts no pool.
+        calls = []
+        monkeypatch.setattr(verify, "_run_claim", lambda claim_id, n_max:
+                            calls.append((claim_id, n_max)) or [])
         run_suite("all", 4)
-        for _, group in groups:
-            assert group
-            assert all(1 <= p["n"] <= 4 for p in group)
-            assert len({str({**p, "n": 0}) for p in group}) == 1
-        claim_ids = [claim_id for claim_id, _ in groups]
-        assert claim_ids.count("corollary_base_constant") == 16
-        assert claim_ids.count("theorem1") == 7
+        assert calls == [(c.claim_id, 4) for c in builtin_claims()]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one claim")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        calls.clear()
+        run_suite("theorem1", 9, parallel=True)
+        assert calls == [("theorem1", 9)]
+
+    def test_import_loads_no_process_pool(self):
+        # only run_suite(parallel=True) with several claims needs the pool
+        code = ("import sys, permpat; print(sorted({'concurrent.futures.process',"
+                " 'multiprocessing'} & set(sys.modules)))")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_advisory_set_matches_the_claims(self):
         assert ADVISORY_CLAIMS == {c.claim_id for c in builtin_claims()
