@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -473,8 +474,7 @@ class TestExactWalkSearch:
         # children each cost one kernel call.
         n = 20
         results = record_kernel_calls(monkeypatch)
-        assert count_avoiders(n, adhoc_set([parse_compact("21")]),
-                              force=True) == 1
+        assert _count_exactly(n, ((2, 1),), 0) == 1
         assert len(results) <= n * (n + 1) // 2
 
     def test_exactly_one_123_at_ten(self):
@@ -573,3 +573,153 @@ class TestRouteDifferential:
 
         brute = sum(map(one_each, permutations(range(1, n + 1))))
         assert _count_both_exactly_one(n) == brute
+
+
+def wilf_class(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """The representative of a length-4 pattern's Wilf class: the patterns
+    of length 4 fall into three classes of equal avoider counts, those of
+    1234, 1342 and 1324 (Stankova, "Forbidden subsequences", Discrete Math.
+    132 (1994))."""
+    for rep, members in (((1, 3, 2, 4), {(1, 3, 2, 4), (4, 2, 3, 1)}),
+                         ((1, 2, 3, 4), {(1, 2, 3, 4), (4, 3, 2, 1),
+                                         (1, 2, 4, 3), (2, 1, 3, 4),
+                                         (3, 4, 2, 1), (4, 3, 1, 2),
+                                         (2, 1, 4, 3), (3, 4, 1, 2),
+                                         (1, 4, 3, 2), (3, 2, 1, 4),
+                                         (2, 3, 4, 1), (4, 1, 2, 3)})):
+        if pattern in members:
+            return rep
+    return (1, 3, 4, 2)
+
+
+@cache
+def tree_count(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
+    return _count_exactly(n, patterns, 0)
+
+
+@st.composite
+def long_adhoc_lists(draw):
+    """One to four distinct patterns of one length from 1 to 5."""
+    k = draw(st.integers(1, 5))
+    universe = sorted(permutations(range(1, k + 1)))
+    return tuple(draw(st.lists(st.sampled_from(universe), min_size=1,
+                               max_size=min(4, len(universe)), unique=True)))
+
+
+class TestMergedAvoiderCount:
+    """The merged count of an ad hoc set against the generating tree that
+    it replaced, which stays as its oracle."""
+
+    @pytest.mark.parametrize("patterns", [
+        subset for r in range(1, 7)
+        for subset in combinations(sorted(permutations(range(1, 4))), r)
+    ], ids=lambda subset: ",".join("".join(map(str, p)) for p in subset))
+    def test_every_set_of_length_3_patterns(self, patterns):
+        for n in range(1, 10):
+            assert _count_generic(n, patterns) == tree_count(n, patterns)
+
+    @pytest.mark.parametrize("pattern", sorted(permutations(range(1, 5))),
+                             ids=lambda p: "".join(map(str, p)))
+    def test_every_length_4_pattern(self, pattern):
+        # the tree runs once per Wilf class and length; the merged count
+        # runs for each pattern.  At n=9, where the tree takes about a
+        # second per class, the published counts stand in for it (OEIS
+        # A005802, A022558 and A061552).
+        rep = wilf_class(pattern)
+        for n in range(1, 9):
+            assert _count_generic(n, (pattern,)) == tree_count(n, (rep,))
+        assert _count_generic(9, (pattern,)) == {
+            (1, 2, 3, 4): 94359, (1, 3, 4, 2): 91245, (1, 3, 2, 4): 94776}[rep]
+
+    @settings(max_examples=25)
+    @given(long_adhoc_lists(), st.integers(1, 8))
+    def test_ad_hoc_lists(self, patterns, n):
+        assert _count_generic(n, patterns) == _count_exactly(n, patterns, 0)
+
+    def test_the_count_never_walks_the_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the merged count walked the tree")
+
+        monkeypatch.setattr(enumeration, "_count_exactly", refuse)
+        monkeypatch.setattr(enumeration, "PinnedPattern", refuse)
+        assert count_avoiders(7, adhoc_set([parse_compact("1324")])) == 2762
+
+    @pytest.mark.parametrize("patterns, n, members, shapes, matches", [
+        (((1, 2, 3, 4),), 9, 94359, 14, 19),
+        (((1, 3, 2, 4),), 9, 94776, 160, 660),
+        (((1, 3, 4, 2),), 9, 91245, 29, 62),
+        (((1, 3, 2),), 10, 16796, 9, 8),
+        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 116, 919),
+    ], ids=["1234", "1324", "1342", "132", "2413,3142"])
+    def test_shapes_worked_out(self, monkeypatch, patterns, n, members,
+                               shapes, matches):
+        # The number of state shapes whose moves are worked out, and their
+        # matches in all, pinned: dropping any reduction leaves the count
+        # right but keeps more states apart.
+        seen = []
+        moves = enumeration._moves
+
+        def recorded(nodes, shape_matches, segments):
+            seen.append(len(shape_matches))
+            return moves(nodes, shape_matches, segments)
+
+        monkeypatch.setattr(enumeration, "_moves", recorded)
+        assert _count_generic(n, patterns) == members
+        assert (len(seen), sum(seen)) == (shapes, matches)
+
+    @pytest.mark.parametrize("pattern, members", [("21", 1), ("12", 1),
+                                                  ("1", 0)])
+    def test_a_class_of_one_at_the_hard_limit(self, pattern, members):
+        # the tree took about a minute of CPU for {21} here
+        assert count_avoiders(HARD_N_LIMIT, adhoc_set([parse_compact(pattern)]),
+                              force=True) == members
+
+
+def simion_schmidt(n: int, subset: frozenset) -> int | None:
+    """|S_n(T)| for T a set of one to three patterns of length 3, from
+    Simion and Schmidt, "Restricted permutations", Europ. J. Combin. 6
+    (1985).  None where the closed form does not say: below n=5 for a set
+    holding both 123 and 321."""
+    if len(subset) == 1:
+        return comb(2 * n, n) // (n + 1)
+    both_monotone = {"123", "321"} <= subset
+    if both_monotone and n < 5:
+        return None
+    if len(subset) == 2:
+        if both_monotone:
+            return 0
+        if subset in ({"123", "231"}, {"123", "312"}, {"132", "321"},
+                      {"213", "321"}):
+            return comb(n, 2) + 1
+        return 2 ** (n - 1)
+    if both_monotone:
+        return 0
+    if subset in ({"123", "132", "213"}, {"231", "312", "321"}):
+        fib = [0, 1]
+        while len(fib) < n + 2:
+            fib.append(fib[-1] + fib[-2])
+        return fib[n + 1]
+    return n
+
+
+class TestSimionSchmidt:
+    """The paper's opening counts: every T ⊆ S_3 with one to three
+    members, against the closed forms of Simion and Schmidt."""
+
+    @pytest.mark.parametrize("subset", [
+        frozenset(subset) for r in (1, 2, 3)
+        for subset in combinations(["123", "132", "213", "231", "312",
+                                    "321"], r)
+    ], ids=lambda subset: ",".join(sorted(subset)))
+    def test_closed_forms_to_twelve(self, subset):
+        pattern_set = adhoc_set(map(parse_compact, subset))
+        for n in range(1, 13):
+            expected = simion_schmidt(n, subset)
+            if expected is not None:
+                assert count_avoiders(n, pattern_set) == expected
+
+    def test_catalan_at_forty(self):
+        assert (count_avoiders(40, adhoc_set([parse_compact("132")]),
+                               force=True)
+                == comb(80, 40) // 41)
+
