@@ -650,7 +650,10 @@ class TestMergedAvoiderCount:
         (((1, 3, 4, 2),), 9, 91245, 29, 62),
         (((1, 3, 2),), 10, 16796, 9, 8),
         (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 116, 919),
-    ], ids=["1234", "1324", "1342", "132", "2413,3142"])
+        (((2, 4, 1, 5, 3), (3, 1, 2, 5, 4), (5, 2, 4, 1, 3)), 7, 3833, 140,
+         1405),
+    ], ids=["1234", "1324", "1342", "132", "2413,3142",
+            "24153,31254,52413"])
     def test_shapes_worked_out(self, monkeypatch, patterns, n, members,
                                shapes, matches):
         # The number of state shapes whose moves are worked out, and their
