@@ -233,10 +233,12 @@ def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
 #   5. the count runs on whichever of the set's eight symmetric images
 #      (`_images`) has the fewest two-sided points and needed gaps.
 # Everything but the weights, and so every reduction, is the same for all
-# the states of one shape (matches and segment count), so `_moves` works
-# each shape out once per level.  The states of length n-1 are not stored:
-# one has as many children as its weights add up to, so each move into
-# length n-1 adds that sum, for every way to split its segment, at once.
+# the states of one shape (matches and segment count), so a level maps each
+# shape to its {weights: ways} and `_moves` works each shape out once, in
+# one pass over all its matches, old and grown, after each new entry.  The
+# states of length n-1 are not stored: one has as many children as its
+# weights add up to, so each move into length n-1 adds that sum, for every
+# way to split its segment, at once.
 
 def _standardize(values) -> tuple[int, ...]:
     order = sorted(values)
@@ -368,7 +370,9 @@ def _moves(nodes: list[_Node], matches: tuple, segments: int) -> list:
     A state's bounds are numbered 0, 2, 4, ..., so the new value in segment
     s is 2s+1 and a segment is named by its lower bound.  Each bound is then
     renumbered by the open segments below it, which contracts a forbidden
-    segment and merges the two values around it."""
+    segment and merges the two values around it.  The old and the grown
+    matches, so renumbered, go through one pass: those that can no longer be
+    finished are dropped, and so is each one that another covers."""
     top = 2 * segments
     # the kids that each match reaches from each segment
     reach: list[list] = [[] for _ in range(segments)]
@@ -395,32 +399,16 @@ def _moves(nodes: list[_Node], matches: tuple, segments: int) -> list:
         opens = list(accumulate(allowed, initial=0))
         if not opens[-1]:
             continue
-        old = [(m[0], *map(opens.__getitem__, m[1:])) for m in matches]
-        grown = {(m[0], *map(opens.__getitem__, m[1:])) for m in grown}
-        # When no gap closed, every match can still be finished, and no old
-        # match covers another; otherwise all are checked again.
-        settled = old
-        if opens[-1] < segments + 1:
-            settled = []
-            grown = [m for m in grown.union(old) if _finishable(nodes, m)]
-        # drop a match that another covers
+        # renumber every match, keep the finishable ones, and drop each one
+        # that another at its key covers
         rivals: dict = {}
-        for m in settled:
-            rivals.setdefault(_rival_key(nodes, m), []).append(m)
-        fresh: dict = {}
-        for m in grown:
-            fresh.setdefault(_rival_key(nodes, m), []).append(m)
-        covered = set()
-        kept = []
-        for key, ms in fresh.items():
-            node = nodes[key[0]]
-            olds = rivals.get(key, [])
-            ms = [m for m in ms if not any(o is not m and _covers(node, o, m)
-                                           for o in chain(olds, ms))]
-            covered.update(o for o in olds
-                           if any(_covers(node, m, o) for m in ms))
-            kept += ms
-        kept += (m for m in settled if m not in covered)
+        for m in {(m[0], *map(opens.__getitem__, m[1:]))
+                  for m in chain(matches, grown)}:
+            if _finishable(nodes, m):
+                rivals.setdefault(_rival_key(nodes, m), []).append(m)
+        kept = [m for key, ms in rivals.items() for m in ms
+                if not any(o is not m and _covers(nodes[key[0]], o, m)
+                           for o in ms)]
         # delete the values no match references, merging their segments
         bounds = sorted({v for m in kept for v in m[1:]} | {0, opens[-1]})
         index = {v: 2 * i for i, v in enumerate(bounds)}
@@ -439,52 +427,46 @@ def _moves(nodes: list[_Node], matches: tuple, segments: int) -> list:
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
     """Count avoiders of an arbitrary pattern list, level by level: the
     number of prefixes reaching each merged state, from length 0 to n-2.
-    A state is (weights, matches): the live partial matches, and for each
-    segment between the values they reference, the number of gaps of the
-    prefix that a new value may still enter there, never 0."""
-    k = len(patterns[0])
-    if n < k:  # every permutation avoids; this holds n=1, which no level adds
+    A level is {(matches, segments): {weights: ways}}: a state's shape is
+    its live partial matches and its count of segments between the values
+    they reference, and its weights are, for each segment, the number of
+    gaps of the prefix that a new value may still enter there, never 0.
+    An empty list is avoided by all n! permutations."""
+    if not patterns or n < len(patterns[0]):
+        # every permutation avoids; this holds n=1, which no level adds
         return factorial(n)
-    if k == 1:
+    if len(patterns[0]) == 1:
         return 0
     nodes = min(map(_match_tables, _images(patterns)), key=_cost)
-    level = {((1,), ()): 1}
+    level = {((), 1): {(1,): 1}}
     total = 0
     for length in range(1, n):
-        shapes: dict = {}
-        for (weights, matches), ways in level.items():
-            shapes.setdefault((matches, len(weights)), []).append(
-                (weights, ways))
-        level = {}
-        for shape, members in shapes.items():
+        below: dict = {}
+        for shape, members in level.items():
             for s, child, groups, lower, upper in _moves(nodes, *shape):
                 if length == n - 1:
                     # each of the w ways to split s keeps the grouped
                     # weights and adds the surviving parts, t and w+1-t
                     parts = (lower is not None) + (upper is not None)
-                    for weights, ways in members:
+                    for weights, ways in members.items():
                         w = weights[s]
                         kept = sum(weights[g] for group in groups
                                    for g in group)
                         total += ways * (w * kept + parts * w * (w + 1) // 2)
                     continue
-                for weights, ways in members:
+                states = below.setdefault((child, len(groups)), {})
+                for weights, ways in members.items():
                     w = weights[s]
                     base = [sum(weights[g] for g in group) for group in groups]
-                    if lower == upper:  # the parts merge back, or both go
-                        if lower is not None:
-                            base[lower] += w + 1
-                        state = (tuple(base), child)
-                        level[state] = level.get(state, 0) + ways * w
-                        continue
                     for t in range(1, w + 1):  # the value enters gap t
                         split = base.copy()
                         if lower is not None:
                             split[lower] += t
                         if upper is not None:
                             split[upper] += w + 1 - t
-                        state = (tuple(split), child)
-                        level[state] = level.get(state, 0) + ways
+                        state = tuple(split)
+                        states[state] = states.get(state, 0) + ways
+        level = below
     return total
 
 

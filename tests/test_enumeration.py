@@ -235,6 +235,24 @@ class TestCountAvoiders:
     def test_matches_naive_filter(self, n, pattern_set):
         assert count_avoiders(n, pattern_set) == brute_count_avoiders(n, pattern_set)
 
+    @pytest.mark.parametrize("m, tau", [(1, "12"), (2, "21")])
+    def test_an_m_set_with_no_members(self, m, tau):
+        # T(2,1) is {12} and T(2,2) is {21}, so removing tau leaves nothing
+        pattern_set = build_m(2, m, parse_compact(tau))
+        assert pattern_set.patterns == ()
+        for n in range(1, 7):
+            assert count_avoiders(n, pattern_set) == factorial(n)
+            assert len(list(enumerate_avoiders(n, pattern_set))) == factorial(n)
+
+    @pytest.mark.parametrize("pattern_set", [
+        build_m(k, m, tau) for k in (3, 4) for m in range(1, k + 1)
+        for tau in build_tkm(k, m).patterns
+    ], ids=lambda pattern_set: pattern_set.label())
+    def test_m_sets_match_naive_filter(self, pattern_set):
+        for n in range(1, 7):
+            assert (count_avoiders(n, pattern_set)
+                    == brute_count_avoiders(n, pattern_set))
+
     @pytest.mark.parametrize("pattern_set", [
         build_tkm(3, 2), build_tkm(4, 1), build_union_tkm(4, (1, 4)),
         adhoc_set([parse_compact("132")]),
