@@ -6,7 +6,7 @@ Two independent computation routes live here on purpose:
   first-entry union, an entry's rank among the unused values (its
   inversion-table digit) fixes every family occurrence it starts and is
   chosen on its own, so the union is the product of the rows of allowed
-  ranks, `_rank_rows`, counted and listed as such.  The avoiders of an
+  ranks, `_rank_rows`, and counted as such.  The avoiders of an
   arbitrary pattern list are counted by levels of merged states,
   `_count_generic`: a prefix's future depends only on its live partial
   matches and on how many gaps of the prefix lie between the values they
@@ -18,9 +18,10 @@ Two independent computation routes live here on purpose:
   it; the verifier's noonan and bona oracles count this way, and the tests
   hold the merged count to it.  An exactly-once class is decided by rank
   too, with a state of pending ranks: it is counted by levels of those
-  states, a `{state: ways}` map carried from the first entry to the last,
-  and listed by `_walk`, one iterative prefix walker, over the same steps.
-  The ad hoc listings use `_walk` over actual values.
+  states, a `{state: ways}` map carried from the first entry to the last.
+  Every listing is one iterative prefix walker, `_walk`, under a rule: a
+  union's rank rows, the exactly-once steps, or the ad hoc check of each
+  unused value.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, and looks each subsequence up by its
@@ -49,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import cache
 from itertools import (accumulate, chain, combinations, compress,
-                       permutations as _permutations, product)
+                       permutations as _permutations)
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -98,25 +99,27 @@ def _check_n(n: int, force: bool) -> None:
 # The prefix walker, its rules and the generating tree
 # ---------------------------------------------------------------------------
 #
-# A rule is children(prefix, unused, state): it yields (r, state') for each
-# value unused[r] that may follow prefix, in increasing r, where unused is
-# the sorted list of values not yet placed.  The candidate unused[r] will be
-# followed by exactly r smaller entries and len(unused) - 1 - r larger ones
-# (its inversion-table digit), so the exactly-once rule decides from r alone
-# every occurrence the candidate starts, with no dead ends.  That rule keeps
-# its state in ranks too, so it is given as steps(later, state), the list of
-# (r, state') for later = len(unused) - 1 entries still to come: `_walk`
-# lists the class through it and `_count_exactly_once_rec` sums it level by
-# level.
+# `_walk` builds every listed permutation.  A rule is children(prefix,
+# unused, state): it yields (r, state') for each value unused[r] that may
+# follow prefix, in increasing r, where unused is the sorted list of values
+# not yet placed.  The candidate unused[r] will be followed by exactly r
+# smaller entries and len(unused) - 1 - r larger ones (its inversion-table
+# digit), so a union's rule and the exactly-once rule decide from r alone
+# every occurrence the candidate starts, with no dead ends.  A union's rule
+# is its rank row for later = len(unused) - 1 entries still to come, whose
+# pairs (r, 0) carry no state.  The exactly-once rule keeps its state in
+# ranks too, so it is given as steps(later, state), the list of (r, state'):
+# `_walk` lists the class through it and `_count_exactly_once_rec` sums it
+# level by level.  The generic rule checks each unused value against the
+# patterns, by actual values.
 #
 # `_count_family`, `_iter_avoiders` and `_count_exactly_once_rec` stay as
 # thin entry points, and `_count_generic` keeps its name: the benchmark's
 # trace mode (perfbench/child.py) times each search under its name.
 
-def _walk(n: int, children) -> Iterator[list[int]]:
-    """Yield every complete prefix that the rule allows at each step, in
-    lexicographic order.  The yielded list is the walker's own and changes
-    after the consumer resumes it."""
+def _walk(n: int, children) -> Iterator[Permutation]:
+    """Yield every permutation of S_n whose entries the rule allows at each
+    step, in lexicographic order."""
     prefix: list[int] = []
     ranks: list[int] = []
     unused = list(range(1, n + 1))
@@ -128,7 +131,7 @@ def _walk(n: int, children) -> Iterator[list[int]]:
                 ranks.append(r)
                 stack.append(iter(children(prefix, unused, state)))
                 break  # descend: the new top of the stack is iterated next
-            yield prefix
+            yield Permutation(tuple(prefix))
             unused.insert(r, prefix.pop())
         else:
             # the top node has no more children: undo the entry it added
@@ -503,17 +506,14 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
-    """Yield avoiders in lexicographic order.  A union's are its rank rows'
-    product, first entry outermost; a rank indexes the values still unused."""
+    """Yield avoiders in lexicographic order, by `_walk` over a union's rank
+    rows (each allowed rank with state 0) or over the generic rule."""
     if pattern_set.kind == "union":
         rows = _rank_rows(n, pattern_set.k, pattern_set.ms, 1)
-        for ranks in product(*([r for r, _ in row] for row in reversed(rows))):
-            unused = list(range(1, n + 1))
-            yield Permutation(tuple(unused.pop(r) for r in ranks))
-        return
-    rule = _generic_rule(tuple(p.values for p in pattern_set.patterns))
-    for prefix in _walk(n, rule):
-        yield Permutation(tuple(prefix))
+        yield from _walk(n, lambda prefix, unused, state: rows[len(unused) - 1])
+    else:
+        patterns = tuple(p.values for p in pattern_set.patterns)
+        yield from _walk(n, _generic_rule(patterns))
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +623,9 @@ def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
     tau = _exactly_once_tau(pattern_set)
     steps = _exactly_once_rule(n, pattern_set.k, pattern_set.ms[0],
                                tau.values)
-    members = (Permutation(tuple(prefix)) for prefix in
-               _walk(n, lambda prefix, unused, state:
-                     steps(len(unused) - 1, state)))
-    return _guarded(members, contains_exactly_once, pattern_set)
+    return _guarded(_walk(n, lambda prefix, unused, state:
+                          steps(len(unused) - 1, state)),
+                    contains_exactly_once, pattern_set)
 
 
 def occurrence_histogram(n: int, tau: Permutation) -> dict[int, int]:

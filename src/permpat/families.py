@@ -88,14 +88,16 @@ class PatternSet:
         return PatternTrie(p.values for p in self.patterns)
 
     def label(self) -> str:
-        """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)"."""
+        """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)".  An ad
+        hoc member longer than 9 is written in one-line form, "(1,...,10)"."""
         if self.tau is not None:
             return f"M({self.k},{self.ms[0]};{self.tau.compact()})"
         if len(self.ms) == 1:
             return f"Tkm({self.k},{self.ms[0]})"
         if self.ms:
             return f"U({self.k};{','.join(str(m) for m in self.ms)})"
-        return "{" + ",".join(p.compact() for p in self.patterns) + "}"
+        return "{" + ",".join(p.compact() if len(p) <= 9 else f"({p})"
+                              for p in self.patterns) + "}"
 
 
 def _family_patterns(k: int, m: int) -> list[Permutation]:

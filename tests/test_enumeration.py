@@ -144,8 +144,8 @@ class TestFamilyRuleTable:
 
 
 class TestUnionsAreRankRowProducts:
-    """A union is counted as the product of its rank rows and listed as
-    their lexicographic product, so its closed forms hold far past the
+    """A union is counted as the product of its rank rows and listed by
+    `_walk` over those rows, so its closed forms hold far past the
     desk-scale limit."""
 
     def test_theorem1_at_2000(self):
@@ -165,13 +165,27 @@ class TestUnionsAreRankRowProducts:
                 * count_avoiders(499, union, force=True))
 
     def test_a_union_is_never_walked(self, monkeypatch):
-        def walk(*args):
-            raise AssertionError("a union went through _walk")
+        def refuse(name):
+            def fail(*args):
+                raise AssertionError(f"a union went through {name}")
+            return fail
 
-        monkeypatch.setattr(enumeration, "_walk", walk)
         union = build_union_tkm(4, (1, 2))
-        assert count_avoiders(6, union) == 48
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_walk", refuse("_walk"))
+            assert count_avoiders(6, union) == 48
+        # the listing walks the rank rows and searches no pattern
+        for name in ("_generic_rule", "PinnedPattern"):
+            monkeypatch.setattr(enumeration, name, refuse(name))
         assert len(list(enumerate_avoiders(6, union))) == 48
+
+
+class TestWalk:
+    def test_yields_permutations_that_stay_put(self):
+        # each member is its own Permutation, not a list the walk reuses
+        walked = list(_walk(3, _generic_rule(((1, 2, 3),))))
+        assert walked == [parse_compact(t)
+                          for t in ("132", "213", "231", "312", "321")]
 
 
 def walk_exactly_once(n, k, m, tau):
@@ -356,6 +370,28 @@ class TestCountExactlyOnce:
             count_exactly_once(5, pattern_set)
         with pytest.raises(ValueError, match="not an M"):
             contains_exactly_once(Permutation((1, 3, 2)), pattern_set)
+
+
+class TestLongAdhocPatterns:
+    """An ad hoc member longer than 9 has no digit-string form, so the set's
+    label writes it in one-line form and the errors that name the set
+    still say what went wrong."""
+
+    long_set = adhoc_set([Permutation(tuple(range(1, 11)))])
+
+    def test_exactly_once_operations_say_not_an_m_set(self):
+        with pytest.raises(ValueError, match="not an M"):
+            count_exactly_once(5, self.long_set)
+        with pytest.raises(ValueError, match="not an M"):
+            enumerate_exactly_once(5, self.long_set)
+        with pytest.raises(ValueError, match="not an M"):
+            contains_exactly_once(Permutation((1, 3, 2)), self.long_set)
+
+    def test_a_failed_guard_raises_its_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "avoids_all", lambda p, s: False)
+        with pytest.raises(RuntimeError,
+                           match=r"for \{\(1,2,3,4,5,6,7,8,9,10\)\}"):
+            list(enumerate_avoiders(3, self.long_set))
 
 
 class TestEnumerateExactlyOnce:
