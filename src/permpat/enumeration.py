@@ -6,22 +6,20 @@ Two independent computation routes live here on purpose:
   first-entry union, an entry's rank among the unused values (its
   inversion-table digit) fixes every family occurrence it starts and is
   chosen on its own, so the union is the product of the rows of allowed
-  ranks, `_rank_rows`, and counted as such.  The avoiders of an
-  arbitrary pattern list are counted by levels of merged states,
-  `_count_generic`: a prefix's future depends only on its live partial
-  matches and on how many gaps of the prefix lie between the values they
-  reference, so prefixes that agree there are counted once.  A pattern
-  list reached an exact number of times is counted on West's generating
-  tree of standardized prefixes, `_count_exactly`, which visits each good
+  ranks, `_rank_rows`, and counted as such.  An exactly-once class is
+  decided by rank too, with a state of pending ranks, and so is an
+  arbitrary pattern list, `_adhoc_rule`, with a state of live partial
+  matches, each kept as the number of unused values below each point that
+  bounds a gap its completions still need: prefixes that agree there have
+  the same future.  Both are counted by `_levels`, a `{state: ways}` map
+  carried from the first entry to the last, and every class is listed by
+  one iterative prefix walker, `_walk`, under its rule.  A pattern list
+  reached an exact number of times is counted on West's generating tree of
+  standardized prefixes, `_count_exactly`, which visits each good
   standardized prefix once and checks a candidate by a capped
   pinned-pattern search per member over the occurrences that would END at
   it; the verifier's noonan and bona oracles count this way, and the tests
-  hold the merged count to it.  An exactly-once class is decided by rank
-  too, with a state of pending ranks: it is counted by levels of those
-  states, a `{state: ways}` map carried from the first entry to the last.
-  Every listing is one iterative prefix walker, `_walk`, under a rule: a
-  union's rank rows, the exactly-once steps, or the ad hoc check of each
-  unused value.
+  hold the ad hoc count to it.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, and looks each subsequence up by its
@@ -35,8 +33,8 @@ Two independent computation routes live here on purpose:
 Every entry point takes the class's one `PatternSet`; the exactly-once ones
 take an M(k,m;tau) set and read k, m and tau from it.  Nothing here is
 cached between calls: an exactly-once rule keeps its steps for one count or
-listing, the merged count keeps its moves for one level, and a `PatternSet`
-keeps the prefix trie it builds.  The
+listing, an ad hoc rule for one listing, and a `PatternSet` keeps the
+prefix trie it builds.  The
 listings check their arguments when called, then stream: each permutation
 is re-verified and yielded as the search reaches it.  The re-check is
 independent of the rank rows and the rules: it searches every pattern of
@@ -47,10 +45,8 @@ exact Python integers; nothing here touches floating point.
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import cache
-from itertools import (accumulate, chain, combinations, compress,
-                       permutations as _permutations)
+from itertools import chain, combinations, permutations as _permutations
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -70,12 +66,14 @@ __all__ = [
 DESK_SCALE_LIMIT = 12
 # force stops here.  A union counts in O(n·k·|ms|), an exactly-once class
 # by a few rank states per entry (0.3 s of CPU for M(9,1;123456789) at
-# n=2000), and an ad hoc list by merged states, one per level for {21}
-# (0.05 s at n=2000), but other work grows fast: the merged states of
-# {1324} grow about 3.4-fold per entry, and the guard's trie walk does not
-# finish within minutes on a near-identity member of Tkm(9,5) or M(9,5;tau),
-# since every increasing prefix of their patterns matches it and no window
-# prunes those prefixes.
+# n=2000), and an ad hoc list by its rank states, one per level for {21}
+# and {12}, whose runs of refused ranks are skipped whole (a few hundredths
+# of a second at n=2000, counted or listed).  Other work grows fast: the
+# states of {1324} about double with each n, {123} keeps one state per
+# unused value, so its steps grow like n^3 (10-16 s at n=300), and the
+# guard's trie walk does not finish within minutes on a near-identity
+# member of Tkm(9,5) or M(9,5;tau), since every increasing prefix of their
+# patterns matches it and no window prunes those prefixes.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.
@@ -99,37 +97,34 @@ def _check_n(n: int, force: bool) -> None:
 # The prefix walker, its rules and the generating tree
 # ---------------------------------------------------------------------------
 #
-# `_walk` builds every listed permutation.  A rule is children(prefix,
-# unused, state): it yields (r, state') for each value unused[r] that may
-# follow prefix, in increasing r, where unused is the sorted list of values
-# not yet placed.  The candidate unused[r] will be followed by exactly r
-# smaller entries and len(unused) - 1 - r larger ones (its inversion-table
-# digit), so a union's rule and the exactly-once rule decide from r alone
-# every occurrence the candidate starts, with no dead ends.  A union's rule
-# is its rank row for later = len(unused) - 1 entries still to come, whose
-# pairs (r, 0) carry no state.  The exactly-once rule keeps its state in
-# ranks too, so it is given as steps(later, state), the list of (r, state'):
-# `_walk` lists the class through it and `_count_exactly_once_rec` sums it
-# level by level.  The generic rule checks each unused value against the
-# patterns, by actual values.
+# Every class is listed by `_walk` and counted by `_levels` under one rule,
+# steps(later, state): the list of (r, state') for each rank r, in
+# increasing order, at which the next entry may be the r-th smallest of the
+# later + 1 values still unused, the first state being None.  That entry
+# will be followed by exactly r smaller entries and later - r larger ones
+# (its inversion-table digit).  A union's rule is its rank row, whose pairs
+# (r, 0) carry no state; the exactly-once rule keeps the ranks of tau's
+# pending entries, and the ad hoc rule the prefix's live partial matches.
+# `_walk` places actual values, so it lists in lexicographic order; `_levels`
+# only sums the number of prefixes reaching each state.
 #
 # `_count_family`, `_iter_avoiders` and `_count_exactly_once_rec` stay as
 # thin entry points, and `_count_generic` keeps its name: the benchmark's
 # trace mode (perfbench/child.py) times each search under its name.
 
-def _walk(n: int, children) -> Iterator[Permutation]:
+def _walk(n: int, steps) -> Iterator[Permutation]:
     """Yield every permutation of S_n whose entries the rule allows at each
     step, in lexicographic order."""
     prefix: list[int] = []
     ranks: list[int] = []
     unused = list(range(1, n + 1))
-    stack = [iter(children(prefix, unused, None))]
+    stack = [iter(steps(n - 1, None))]
     while stack:
         for r, state in stack[-1]:
             prefix.append(unused.pop(r))
             if unused:
                 ranks.append(r)
-                stack.append(iter(children(prefix, unused, state)))
+                stack.append(iter(steps(len(unused) - 1, state)))
                 break  # descend: the new top of the stack is iterated next
             yield Permutation(tuple(prefix))
             unused.insert(r, prefix.pop())
@@ -138,6 +133,20 @@ def _walk(n: int, children) -> Iterator[Permutation]:
             stack.pop()
             if ranks:
                 unused.insert(ranks.pop(), prefix.pop())
+
+
+def _levels(n: int, steps) -> int:
+    """Count the permutations of S_n that the rule allows, level by level:
+    the number of prefixes reaching each state, from the first entry to the
+    last."""
+    level = {None: 1}
+    for later in range(n - 1, -1, -1):
+        below: dict = {}
+        for state, ways in level.items():
+            for _, child in steps(later, state):
+                below[child] = below.get(child, 0) + ways
+        level = below
+    return sum(level.values())
 
 
 def _rank_rows(n: int, k: int, ms: tuple[int, ...],
@@ -155,22 +164,6 @@ def _rank_rows(n: int, k: int, ms: tuple[int, ...],
              if (c := sum(comb(r, m - 1) * comb(later - r, k - m)
                           for m in ms)) < below]
             for later in range(n)]
-
-
-def _generic_rule(patterns: tuple[tuple[int, ...], ...]):
-    """Avoid an arbitrary pattern list: a candidate is allowed when no
-    occurrence of any member ends at it."""
-    checks = [PinnedPattern(p).count_ending_at for p in patterns]
-
-    def children(prefix, unused, state):
-        for r, v in enumerate(unused):
-            for ends_at in checks:
-                if ends_at(prefix, v, 1):
-                    break
-            else:
-                yield r, None
-
-    return children
 
 
 def _count_exactly(n: int, patterns: tuple[tuple[int, ...], ...],
@@ -208,40 +201,32 @@ def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The merged count of an ad hoc list's avoiders
+# The rank rule of an ad hoc list
 # ---------------------------------------------------------------------------
 #
-# A prefix of length L is standardized, and the next entry goes into one of
-# its L+1 gaps.  A partial match is an occurrence of a proper pattern prefix
-# (a node of the patterns' prefix trie) among the prefix's entries; what it
-# needs of the future is that later entries fall into certain gaps between
-# its matched values.  The state of a prefix keeps
-#   * its live partial matches, each as its node and the values bounding
-#     the gaps its completions still need, and
-#   * for each segment between consecutive referenced values, its weight:
-#     the number of the prefix's gaps there that a new entry may still
-#     enter.
-# A new entry goes into the t-th of the w gaps of some segment s, counted
-# from below, so it splits s into parts of weight t and w+1-t.  Each match
-# whose needed gap contains s grows to the child node.  Five reductions
-# keep the state small and canonical:
-#   1. a match one entry short of a pattern forbids the gaps it needs, and
-#      a forbidden segment is contracted, merging the values around it;
-#   2. a match is dropped when each completion needs a gap with no open
-#      segment left;
+# A partial match is an occurrence of a proper pattern prefix (a node of the
+# patterns' prefix trie) among the entries placed so far; what it needs of
+# the future is that later entries fall into certain gaps between its
+# matched values.  The ad hoc rule's state is the prefix's live partial
+# matches, each stored as its node and a cut for each point that bounds a
+# needed gap: the number of unused values below that point.  An entry of
+# rank r lies in a needed gap when the gap's lower cut <= r < its upper
+# cut, and each match with such a gap grows to the child node; then every
+# cut above r drops by one.  Four reductions keep the state small and
+# canonical:
+#   1. a match one entry short of a pattern is never stored: r is refused
+#      unless each gap it needs is empty, since any value there would
+#      complete the pattern when it is placed;
+#   2. a match is dropped when each completion needs more entries in some
+#      gap than that gap holds unused values;
 #   3. at one node, a match is dropped when each gap another needs contains
 #      its own, since every completion of it completes the other;
-#   4. a value no live match references is deleted, and the weights of its
-#      two segments are summed;
-#   5. the count runs on whichever of the set's eight symmetric images
+#   4. the count runs on whichever of the set's eight symmetric images
 #      (`_images`) has the fewest two-sided points and needed gaps.
-# Everything but the weights, and so every reduction, is the same for all
-# the states of one shape (matches and segment count), so a level maps each
-# shape to its {weights: ways} and `_moves` works each shape out once, in
-# one pass over all its matches, old and grown, after each new entry.  The
-# states of length n-1 are not stored: one has as many children as its
-# weights add up to, so each move into length n-1 adds that sum, for every
-# way to split its segment, at once.
+# A rank meets the cuts only through order tests, equality tests and counts
+# below k, so in the run between two consecutive cuts every rank at least k
+# from both ends fares alike: the first of them is worked out and the rest
+# copy its child state with their own rank in place of its.
 
 def _standardize(values) -> tuple[int, ...]:
     order = sorted(values)
@@ -254,21 +239,21 @@ def _gap(prefix, v: int) -> int:
 
 
 class _Node(NamedTuple):
-    """A node of the merged count's prefix trie: one distinct pattern
-    prefix of length d < k, up to order.  A partial match at the node has
-    matched d values.  Its points are those of its d+2 bounds (the bottom,
-    the matched values in increasing order, the top) that bound a gap some
-    completion still needs, and it is stored as (node, *point values), so
-    a point is named by its position in that tuple."""
+    """A node of the ad hoc rule's prefix trie: one distinct pattern prefix
+    of length d < k, up to order.  A partial match at the node has matched
+    d values.  Its points are those of its d+2 bounds (the bottom, the
+    matched values in increasing order, the top) that bound a gap some
+    completion still needs, and it is stored as (node, *point cuts), so a
+    point is named by its position in that tuple."""
 
     needs: tuple  # each needed gap's two points, in increasing order
     # for each needed gap, the child a new value in it reaches and the
     # child's points as the parent's, 0 for the new value; or None where
     # only later entries need the gap
     kids: tuple
-    # the minimal sets of needed gaps, as indices into needs, that one
-    # completion uses; None at depth k-1, whose needed gaps are forbidden
-    # as soon as it is matched
+    # for each completion, how many of its entries each needed gap holds,
+    # the minimal such vectors only; None at depth k-1, where a match is
+    # never stored
     alive: tuple | None
     lows: tuple  # the points that bound needed gaps only from below,
     highs: tuple  # only from above,
@@ -308,10 +293,11 @@ def _match_tables(patterns: tuple[tuple[int, ...], ...]) -> list[_Node]:
             # and the parent's a-1 above it
             kids[j] = (ids[child], tuple(0 if a == j + 1 else pts[a - (a > j)]
                                          for a in points[child]))
-        uses = {frozenset(js.index(_gap(p[:d], v)) for v in p[d:])
+        uses = {tuple(sum(_gap(p[:d], v) == j for v in p[d:]) for j in js)
                 for p in ps}
-        alive = tuple(tuple(sorted(u)) for u in uses
-                      if not any(o < u for o in uses))
+        alive = tuple(u for u in uses
+                      if not any(o != u and all(map(int.__le__, o, u))
+                                 for o in uses))
         nodes.append(_Node(needs, tuple(map(kids.get, js)), alive, *sides))
     return nodes
 
@@ -334,17 +320,18 @@ def _images(patterns: tuple[tuple[int, ...], ...]) -> Iterator[tuple]:
 def _cost(nodes: list[_Node]) -> tuple[int, int]:
     """How far a set's nodes keep prefixes apart: a two-sided point lets no
     match cover another that differs there, and each needed gap keeps its
-    points' values referenced."""
+    points' cuts in the state."""
     return (sum(len(node.fixed) for node in nodes),
             sum(len(node.needs) for node in nodes))
 
 
 def _finishable(nodes: list[_Node], match: tuple) -> bool:
-    """Whether some completion of the match needs no closed gap, one whose
-    two points have no open segment between them."""
+    """Whether some completion of the match finds, in each gap it needs, at
+    least as many unused values as it has entries there."""
     node = nodes[match[0]]
-    closed = [match[a] == match[b] for a, b in node.needs]
-    return any(not any(closed[i] for i in use) for use in node.alive)
+    return any(all(match[b] - match[a] >= need
+                   for (a, b), need in zip(node.needs, use))
+               for use in node.alive)
 
 
 def _covers(node: _Node, o: tuple, m: tuple) -> bool:
@@ -356,121 +343,76 @@ def _covers(node: _Node, o: tuple, m: tuple) -> bool:
 
 
 def _rival_key(nodes: list[_Node], match: tuple) -> tuple:
-    """The node and the values of the two-sided points: only matches with
-    the same key can cover each other."""
+    """The node and the cuts of the two-sided points: only matches with the
+    same key can cover each other."""
     return (match[0], *[match[i] for i in nodes[match[0]].fixed])
 
 
-def _moves(nodes: list[_Node], matches: tuple, segments: int) -> list:
-    """The children of every state with these matches and this many
-    segments: for each segment s, (s, the child's matches, for each child
-    segment the parent segments whose weights it sums, the child segments
-    that take the lower and the upper part of s, or None where forbidden).
-    A child with no open segment left is omitted.  Which parts survive does
-    not depend on where in s the new value goes, since both parts start
-    nonempty.
+def _adhoc_rule(nodes: list[_Node], k: int):
+    """Avoid the patterns of length k >= 2 whose prefix trie is `nodes`: the
+    state is the prefix's live partial matches, in increasing order."""
 
-    A state's bounds are numbered 0, 2, 4, ..., so the new value in segment
-    s is 2s+1 and a segment is named by its lower bound.  Each bound is then
-    renumbered by the open segments below it, which contracts a forbidden
-    segment and merges the two values around it.  The old and the grown
-    matches, so renumbered, go through one pass: those that can no longer be
-    finished are dropped, and so is each one that another covers."""
-    top = 2 * segments
-    # the kids that each match reaches from each segment
-    reach: list[list] = [[] for _ in range(segments)]
-    for match in ((0, 0, top), *matches):  # the root matches always
-        node = nodes[match[0]]
-        for (a, b), kid in zip(node.needs, node.kids):
-            if kid is not None:
-                for g in range(match[a] >> 1, match[b] >> 1):
-                    reach[g].append((match, *kid))
-    moves = []
-    for s in range(segments):
-        new = 2 * s + 1
-        allowed = [True, False] * segments
-        allowed[new] = True
-        grown = set()
-        for match, child, recipe in reach[s]:
-            refs = (child, *[match[r] if r else new for r in recipe])
-            if nodes[child].alive is not None:
-                grown.add(refs)
-                continue
-            # one entry short: the gaps it needs are forbidden
-            for a, b in nodes[child].needs:
-                allowed[refs[a]:refs[b]] = [False] * (refs[b] - refs[a])
-        opens = list(accumulate(allowed, initial=0))
-        if not opens[-1]:
-            continue
-        # renumber every match, keep the finishable ones, and drop each one
+    def child(matches: tuple, size: int, r: int) -> tuple | None:
+        """The matches after an entry of rank r among `size` unused values,
+        or None where it completes a pattern."""
+        grown = []
+        for m in ((0, 0, size), *matches):  # the root matches always
+            node = nodes[m[0]]
+            for (a, b), kid in zip(node.needs, node.kids):
+                if kid is None or not m[a] <= r < m[b]:
+                    continue
+                refs = (kid[0], *[m[p] - (m[p] > r) if p else r
+                                  for p in kid[1]])
+                if nodes[kid[0]].alive is not None:
+                    grown.append(refs)
+                elif any(refs[i] < refs[j] for i, j in nodes[kid[0]].needs):
+                    return None
+        # keep the finishable matches, old and grown, and drop each one
         # that another at its key covers
         rivals: dict = {}
-        for m in {(m[0], *map(opens.__getitem__, m[1:]))
-                  for m in chain(matches, grown)}:
+        for m in {*grown, *[(m[0], *[c - (c > r) for c in m[1:]])
+                            for m in matches]}:
             if _finishable(nodes, m):
                 rivals.setdefault(_rival_key(nodes, m), []).append(m)
-        kept = [m for key, ms in rivals.items() for m in ms
-                if not any(o is not m and _covers(nodes[key[0]], o, m)
-                           for o in ms)]
-        # delete the values no match references, merging their segments
-        bounds = sorted({v for m in kept for v in m[1:]} | {0, opens[-1]})
-        index = {v: 2 * i for i, v in enumerate(bounds)}
-        child_matches = tuple(sorted((m[0], *map(index.__getitem__, m[1:]))
-                                     for m in kept))
-        opened = list(compress(range(top), allowed))
-        groups = tuple(tuple(c >> 1 for c in opened[lo:hi]
-                             if not new - 1 <= c <= new)
-                       for lo, hi in zip(bounds, bounds[1:]))
-        parts = [bisect(bounds, opens[c]) - 1 if allowed[c] else None
-                 for c in (new - 1, new)]
-        moves.append((s, child_matches, groups, *parts))
-    return moves
+        return tuple(sorted(m for key, ms in rivals.items() for m in ms
+                            if not any(o is not m
+                                       and _covers(nodes[key[0]], o, m)
+                                       for o in ms)))
+
+    def steps(later: int, state) -> list:
+        matches = state or ()
+        size = later + 1
+        cuts = sorted({0, size, *[c for m in matches for c in m[1:]]})
+        found = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            middle = range(lo + k, hi - k)  # the ranks that fare alike
+            r = lo
+            while r < hi:
+                grown = child(matches, size, r)
+                copies = middle[1:] if r in middle else ()
+                if grown is not None:
+                    found.append((r, grown))
+                    found += [(s, tuple((m[0], *[s if c == r else c
+                                                 for c in m[1:]])
+                                        for m in grown)) for s in copies]
+                r += 1 + len(copies)
+        return found
+
+    return steps
 
 
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
-    """Count avoiders of an arbitrary pattern list, level by level: the
-    number of prefixes reaching each merged state, from length 0 to n-2.
-    A level is {(matches, segments): {weights: ways}}: a state's shape is
-    its live partial matches and its count of segments between the values
-    they reference, and its weights are, for each segment, the number of
-    gaps of the prefix that a new value may still enter there, never 0.
-    An empty list is avoided by all n! permutations."""
+    """Count avoiders of an arbitrary pattern list by `_levels` over the ad
+    hoc rule of its cheapest symmetric image.  No steps are kept: each
+    state is expanded once per level.  An empty list is avoided by all n!
+    permutations."""
     if not patterns or n < len(patterns[0]):
-        # every permutation avoids; this holds n=1, which no level adds
-        return factorial(n)
-    if len(patterns[0]) == 1:
+        return factorial(n)  # every permutation avoids
+    k = len(patterns[0])
+    if k == 1:
         return 0
     nodes = min(map(_match_tables, _images(patterns)), key=_cost)
-    level = {((), 1): {(1,): 1}}
-    total = 0
-    for length in range(1, n):
-        below: dict = {}
-        for shape, members in level.items():
-            for s, child, groups, lower, upper in _moves(nodes, *shape):
-                if length == n - 1:
-                    # each of the w ways to split s keeps the grouped
-                    # weights and adds the surviving parts, t and w+1-t
-                    parts = (lower is not None) + (upper is not None)
-                    for weights, ways in members.items():
-                        w = weights[s]
-                        kept = sum(weights[g] for group in groups
-                                   for g in group)
-                        total += ways * (w * kept + parts * w * (w + 1) // 2)
-                    continue
-                states = below.setdefault((child, len(groups)), {})
-                for weights, ways in members.items():
-                    w = weights[s]
-                    base = [sum(weights[g] for g in group) for group in groups]
-                    for t in range(1, w + 1):  # the value enters gap t
-                        split = base.copy()
-                        if lower is not None:
-                            split[lower] += t
-                        if upper is not None:
-                            split[upper] += w + 1 - t
-                        state = tuple(split)
-                        states[state] = states.get(state, 0) + ways
-        level = below
-    return total
+    return _levels(n, _adhoc_rule(nodes, k))
 
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
@@ -507,13 +449,18 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
     """Yield avoiders in lexicographic order, by `_walk` over a union's rank
-    rows (each allowed rank with state 0) or over the generic rule."""
+    rows (each allowed rank with state 0) or over the ad hoc rule of the set
+    as given, whose steps are memoised for this listing."""
     if pattern_set.kind == "union":
         rows = _rank_rows(n, pattern_set.k, pattern_set.ms, 1)
-        yield from _walk(n, lambda prefix, unused, state: rows[len(unused) - 1])
-    else:
+        yield from _walk(n, lambda later, state: rows[later])
+    elif not pattern_set.patterns:  # an M set whose T(k,m) is tau alone
+        yield from _walk(n, lambda later, state:
+                         [(r, None) for r in range(later + 1)])
+    elif pattern_set.k > 1:  # every permutation contains a length-1 pattern
         patterns = tuple(p.values for p in pattern_set.patterns)
-        yield from _walk(n, _generic_rule(patterns))
+        yield from _walk(n, cache(_adhoc_rule(_match_tables(patterns),
+                                              pattern_set.k)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +490,10 @@ def enumerate_avoiders(n: int, pattern_set: PatternSet, *,
 def count_avoiders(n: int, pattern_set: PatternSet, *,
                    force: bool = False) -> int:
     """|S_n(pattern_set)|, as the product of a union's rank rows or by
-    levels of merged partial-match states.  The tests check it against the
-    unpruned scan, `_scan_count(n, (patterns,), 1).get((0,), 0)`, and the
-    merged count against the generating tree, `_count_exactly`."""
+    levels of the ad hoc rule's partial-match states.  The tests check it
+    against the unpruned scan, `_scan_count(n, (patterns,), 1).get((0,),
+    0)`, and the ad hoc count against the generating tree,
+    `_count_exactly`."""
     _check_n(n, force)
     if pattern_set.kind == "union":
         return _count_family(n, pattern_set.k, pattern_set.ms)
@@ -591,17 +539,8 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
 def _count_exactly_once_rec(n: int, k: int, m: int,
                             tau: tuple[int, ...]) -> int:
     """Count permutations avoiding T(k,m) minus tau while containing tau
-    exactly once, level by level: the number of prefixes reaching each rule
-    state, from the first entry to the last."""
-    steps = _exactly_once_rule(n, k, m, tau)
-    level = {None: 1}
-    for later in range(n - 1, -1, -1):
-        below: dict = {}
-        for state, ways in level.items():
-            for _, child in steps(later, state):
-                below[child] = below.get(child, 0) + ways
-        level = below
-    return sum(level.values())
+    exactly once, by `_levels` over the exactly-once rule."""
+    return _levels(n, _exactly_once_rule(n, k, m, tau))
 
 
 def count_exactly_once(n: int, pattern_set: PatternSet, *,
@@ -623,9 +562,7 @@ def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
     tau = _exactly_once_tau(pattern_set)
     steps = _exactly_once_rule(n, pattern_set.k, pattern_set.ms[0],
                                tau.values)
-    return _guarded(_walk(n, lambda prefix, unused, state:
-                          steps(len(unused) - 1, state)),
-                    contains_exactly_once, pattern_set)
+    return _guarded(_walk(n, steps), contains_exactly_once, pattern_set)
 
 
 def occurrence_histogram(n: int, tau: Permutation) -> dict[int, int]:

@@ -14,10 +14,12 @@ from permpat.enumeration import (
     HARD_N_LIMIT,
     _count_exactly,
     _count_exactly_once_rec,
+    _adhoc_rule,
     _count_generic,
     _exactly_once_rule,
+    _iter_avoiders,
+    _match_tables,
     _rank_rows,
-    _generic_rule,
     _scan_count,
     _walk,
     count_avoiders,
@@ -175,7 +177,7 @@ class TestUnionsAreRankRowProducts:
             patch.setattr(enumeration, "_walk", refuse("_walk"))
             assert count_avoiders(6, union) == 48
         # the listing walks the rank rows and searches no pattern
-        for name in ("_generic_rule", "PinnedPattern"):
+        for name in ("_adhoc_rule", "PinnedPattern"):
             monkeypatch.setattr(enumeration, name, refuse(name))
         assert len(list(enumerate_avoiders(6, union))) == 48
 
@@ -183,7 +185,7 @@ class TestUnionsAreRankRowProducts:
 class TestWalk:
     def test_yields_permutations_that_stay_put(self):
         # each member is its own Permutation, not a list the walk reuses
-        walked = list(_walk(3, _generic_rule(((1, 2, 3),))))
+        walked = list(_walk(3, _adhoc_rule(_match_tables(((1, 2, 3),)), 3)))
         assert walked == [parse_compact(t)
                           for t in ("132", "213", "231", "312", "321")]
 
@@ -191,9 +193,7 @@ class TestWalk:
 def walk_exactly_once(n, k, m, tau):
     """The members of S_n(T(k,m); tau) as `_walk` lists them from the rule's
     steps, which the level count sums instead."""
-    steps = _exactly_once_rule(n, k, m, tau)
-    return _walk(n, lambda prefix, unused, state:
-                 steps(len(unused) - 1, state))
+    return _walk(n, _exactly_once_rule(n, k, m, tau))
 
 
 class TestExactlyOnceLevelCounts:
@@ -605,11 +605,11 @@ class TestRouteDifferential:
 
     @settings(max_examples=25)
     @given(adhoc_sets(), st.integers(1, 7))
-    def test_tree_count_matches_the_value_walk(self, ps, n):
-        # count_avoiders counts ad hoc sets on the tree; the listings keep
-        # the walk over values, so the two searches are checked here
+    def test_count_matches_the_listing_walk(self, ps, n):
+        # both follow the ad hoc rule, but the count runs on the set's
+        # cheapest symmetric image and the listing on the set as given
         patterns = tuple(p.values for p in ps.patterns)
-        walked = sum(1 for _ in _walk(n, _generic_rule(patterns)))
+        walked = sum(1 for _ in _iter_avoiders(n, ps))
         assert _count_generic(n, patterns) == walked
 
     @settings(max_examples=50)
@@ -660,6 +660,24 @@ def long_adhoc_lists(draw):
                                max_size=min(4, len(universe)), unique=True)))
 
 
+def record_rank_states(monkeypatch) -> list[int]:
+    """Route every ad hoc rule through a wrapper; the returned list collects
+    the number of stored matches of each state whose steps are taken."""
+    seen = []
+    adhoc_rule = enumeration._adhoc_rule
+
+    def recorded(nodes, k):
+        steps = adhoc_rule(nodes, k)
+
+        def expand(later, state):
+            seen.append(len(state or ()))
+            return steps(later, state)
+        return expand
+
+    monkeypatch.setattr(enumeration, "_adhoc_rule", recorded)
+    return seen
+
+
 class TestMergedAvoiderCount:
     """The merged count of an ad hoc set against the generating tree that
     it replaced, which stays as its oracle."""
@@ -698,31 +716,32 @@ class TestMergedAvoiderCount:
         monkeypatch.setattr(enumeration, "PinnedPattern", refuse)
         assert count_avoiders(7, adhoc_set([parse_compact("1324")])) == 2762
 
-    @pytest.mark.parametrize("patterns, n, members, shapes, matches", [
-        (((1, 2, 3, 4),), 9, 94359, 14, 19),
-        (((1, 3, 2, 4),), 9, 94776, 160, 660),
-        (((1, 3, 4, 2),), 9, 91245, 29, 62),
-        (((1, 3, 2),), 10, 16796, 9, 8),
-        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 116, 919),
-        (((2, 4, 1, 5, 3), (3, 1, 2, 5, 4), (5, 2, 4, 1, 3)), 7, 3833, 140,
-         1405),
+    @pytest.mark.parametrize("patterns, n, members, states, matches", [
+        (((1, 2, 3, 4),), 9, 94359, 86, 127),
+        (((1, 3, 2, 4),), 9, 94776, 199, 440),
+        (((1, 3, 4, 2),), 9, 91245, 127, 215),
+        (((1, 3, 2),), 10, 16796, 46, 36),
+        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 189, 581),
+        (((2, 4, 1, 5, 3), (3, 1, 2, 5, 4), (5, 2, 4, 1, 3)), 7, 3833, 120,
+         274),
     ], ids=["1234", "1324", "1342", "132", "2413,3142",
             "24153,31254,52413"])
     def test_shapes_worked_out(self, monkeypatch, patterns, n, members,
-                               shapes, matches):
-        # The number of state shapes whose moves are worked out, and their
-        # matches in all, pinned: dropping any reduction leaves the count
-        # right but keeps more states apart.
-        seen = []
-        moves = enumeration._moves
-
-        def recorded(nodes, shape_matches, segments):
-            seen.append(len(shape_matches))
-            return moves(nodes, shape_matches, segments)
-
-        monkeypatch.setattr(enumeration, "_moves", recorded)
+                               states, matches):
+        # The number of rank states the count expands, and their matches in
+        # all, pinned: dropping any reduction leaves the count right but
+        # keeps more states apart.
+        seen = record_rank_states(monkeypatch)
         assert _count_generic(n, patterns) == members
-        assert (len(seen), sum(seen)) == (shapes, matches)
+        assert (len(seen), sum(seen)) == (states, matches)
+
+    def test_finishability_counts_unused_values(self, monkeypatch):
+        # a partial match of 123456789 is dropped once some gap it needs
+        # holds fewer unused values than its completions place there; with
+        # only an empty gap dropping it, 3,796 states are expanded
+        seen = record_rank_states(monkeypatch)
+        assert _count_generic(12, ((1, 2, 3, 4, 5, 6, 7, 8, 9),)) == 478842196
+        assert len(seen) <= 300
 
     @pytest.mark.parametrize("pattern, members", [("21", 1), ("12", 1),
                                                   ("1", 0)])
@@ -730,6 +749,25 @@ class TestMergedAvoiderCount:
         # the tree took about a minute of CPU for {21} here
         assert count_avoiders(HARD_N_LIMIT, adhoc_set([parse_compact(pattern)]),
                               force=True) == members
+
+    @pytest.mark.parametrize("pattern, member", [
+        ("12", range(HARD_N_LIMIT, 0, -1)), ("21", range(1, HARD_N_LIMIT + 1))
+    ], ids=["12", "21"])
+    def test_a_class_of_one_is_listed_at_the_hard_limit(self, pattern, member):
+        # a walk over values refused every smaller candidate of {12} at
+        # every entry; the rule skips each run of refused ranks at once
+        listed = list(enumerate_avoiders(
+            HARD_N_LIMIT, adhoc_set([parse_compact(pattern)]), force=True))
+        assert listed == [Permutation(tuple(member))]
+
+    @pytest.mark.parametrize("pattern", ["123", "132"])
+    def test_catalan_listings_at_nine(self, pattern):
+        # the runs between cuts are wide enough here for their middle ranks
+        # to copy the first one's state; the guard re-checks each member
+        pattern_set = adhoc_set([parse_compact(pattern)])
+        listed = list(enumerate_avoiders(9, pattern_set))
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+        assert len(listed) == count_avoiders(9, pattern_set) == 4862
 
 
 def simion_schmidt(n: int, subset: frozenset) -> int | None:
