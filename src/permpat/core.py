@@ -12,8 +12,10 @@ host positions left), and by a value window (the next matched host value
 must fall strictly between the tightest already matched values below and
 above the pattern entry being matched).  `PatternTrie.occurs_in` decides
 whether any pattern of a set occurs at all, in one walk over the trie of
-the set's pattern prefixes with the same two prunings, so a prefix that
-several patterns share is searched once.
+the set's pattern prefixes, so a prefix that several patterns share is
+searched once.  Besides the window, it looks ahead: a host position is
+tried for a pattern entry only when enough later host values lie below and
+above it for the entries that pattern still needs.
 """
 
 from __future__ import annotations
@@ -222,16 +224,26 @@ class PinnedPattern:
 
 
 class PatternTrie:
-    """Containment test for a set of patterns of one length, walked over the
-    trie of their prefixes.
+    """Containment test for a set of patterns of one length k, each a
+    permutation of 1..k, walked over the trie of their prefixes.
 
     A node at depth j stands for one distinct prefix of j slots, up to
-    order, and is a list of j+1 entries: entry g is the child reached when
-    the next slot's value lies above exactly g of the prefix's values (its
-    gap, which fixes the same window as that slot's window refs), or None.
-    Patterns whose first j slots have the same relative order share their
-    first j nodes, so a host value enters at most one child, found by
-    bisecting the values matched so far.
+    order, and is a list of j+1 entries.  Entry g is None, or
+    `(child, pairs)` when some pattern's next slot lies above exactly g of
+    the prefix's values (its gap, which fixes the same window as that
+    slot's window refs).  Patterns whose first j slots have the same
+    relative order share their first j nodes, so a host value enters at
+    most one entry, found by bisecting the values matched so far.
+
+    `pairs` is the look-ahead of Albert, Aldred, Atkinson & Holton
+    ("Algorithms for pattern involvement in permutations", ISAAC 2001):
+    for each pattern under the entry, how many of its later slots lie below
+    and how many above the slot the entry matches, as `(below, above)`.
+    Every such pattern has the same k-1-j later slots, so no pair needs
+    less than another on both sides, and the distinct pairs are the
+    minimal ones.  A host position can match the slot only if its later
+    host values meet some pair.  At the last slot the only pair is
+    (0, 0), stored as `()`, and the leaf child is None.
     """
 
     __slots__ = ("length", "root")
@@ -241,12 +253,23 @@ class PatternTrie:
         self.length = 0
         for pattern in patterns:
             self.length = len(pattern)
+            last = self.length - 1
             node = self.root
+            prefix: list[int] = []  # the values of pattern[:j], sorted
             for j, v in enumerate(pattern):
-                gap = sum(u < v for u in pattern[:j])
-                child = node[gap]
-                if child is None:
-                    child = node[gap] = [None] * (j + 2)
+                gap = bisect(prefix, v)
+                prefix.insert(gap, v)
+                # of the v-1 smaller values, gap come before slot j
+                below = v - 1 - gap
+                pair = (below, last - j - below)
+                entry = node[gap]
+                if entry is None:
+                    child = [None] * (j + 2) if j < last else None
+                    node[gap] = (child, (pair,) if j < last else ())
+                else:
+                    child, pairs = entry
+                    if pairs and pair not in pairs:
+                        node[gap] = (child, pairs + (pair,))
                 node = child
 
     def occurs_in(self, host: Sequence[int]) -> bool:
@@ -254,11 +277,23 @@ class PatternTrie:
 
         Like `_occurrences`, each depth keeps one resumable scan over the
         host positions that leave room for the slots after it; the walk
-        stops at the first complete match."""
+        stops at the first complete match.  A position enters an entry
+        only when its counts of later smaller and later larger host values
+        meet one of the entry's pairs."""
         n = len(host)
         last = self.length - 1
         if not 0 <= last < n:
             return False
+        # smaller[p] counts the later host values below host[p] (the
+        # Lehmer code), larger[p] those above
+        smaller = [0] * n
+        larger = [0] * n
+        seen: list[int] = []
+        for p in range(n - 1, -1, -1):
+            v = host[p]
+            smaller[p] = i = bisect(seen, v)
+            larger[p] = n - 1 - p - i
+            seen.insert(i, v)
         matched: list[int] = []  # the values of chosen[:j], sorted
         chosen = [0] * last
         nodes: list = [self.root] + [None] * last
@@ -267,9 +302,20 @@ class PatternTrie:
         while True:
             node = nodes[j]
             for p in scans[j]:
-                child = node[bisect(matched, host[p])]
-                if child is not None:
+                entry = node[bisect(matched, host[p])]
+                if entry is None:
+                    continue
+                child, pairs = entry
+                if not pairs:
                     break
+                below = smaller[p]
+                above = larger[p]
+                for b, a in pairs:
+                    if below >= b and above >= a:
+                        break
+                else:
+                    continue  # no pattern under the entry fits after p
+                break
             else:
                 if j == 0:
                     return False

@@ -70,10 +70,10 @@ DESK_SCALE_LIMIT = 12
 # and {12}, whose runs of refused ranks are skipped whole (a few hundredths
 # of a second at n=2000, counted or listed).  Other work grows fast: the
 # states of {1324} about double with each n, {123} keeps one state per
-# unused value, so its steps grow like n^3 (10-16 s at n=300), and the
-# guard's trie walk does not finish within minutes on a near-identity
-# member of Tkm(9,5) or M(9,5;tau), since every increasing prefix of their
-# patterns matches it and no window prunes those prefixes.
+# unused value, so its steps grow like n^3 (10-16 s at n=300).  The
+# guard's trie walk re-checks a near-identity member of Tkm(9,5) or
+# M(9,5;tau) here in well under a second: its look-ahead refuses every
+# entry without enough later values below and above it.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.

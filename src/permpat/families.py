@@ -128,7 +128,8 @@ def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
 
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
     """True when `p` contains no occurrence of any pattern in the set: one
-    walk over the set's prefix trie checks every member at once."""
+    walk over the set's prefix trie, with its look-ahead, checks every
+    member at once."""
     # a pattern longer than p cannot occur in it, and the trie is not built
     return len(p) < pattern_set.k or not pattern_set.trie.occurs_in(p.values)
 

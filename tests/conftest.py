@@ -8,6 +8,8 @@ share its bugs.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 from hypothesis import settings
@@ -17,6 +19,27 @@ from permpat.enumeration import _scan_count
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time have
+    passed, so that a search that has regressed fails its test instead of
+    holding up the run.  Where the platform has no SIGALRM, no limit."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def complement(p: Permutation) -> Permutation:

@@ -369,17 +369,36 @@ class _ClosedPipe(io.TextIOWrapper):
         raise BrokenPipeError(32, "Broken pipe")
 
 
+def _child_env():
+    """The environment for a `python -m permpat` child run on this tree."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+class TestLargeListing:
+    def test_an_m_listing_at_2000_prints_its_first_member(self):
+        # the whole re-check of a 2000-entry member runs in the child, so a
+        # guard that has regressed ends this test, not the run
+        done = subprocess.run(
+            [sys.executable, "-m", "permpat", "enumerate", "--set",
+             "M(9,5;512346789)", "-n", "2000", "--force", "--limit", "1"],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        values = list(range(1, 2001))
+        values[1991:1996] = [1996, 1992, 1993, 1994, 1995]
+        assert done.stdout == ",".join(map(str, values)) + "\n"
+
+
 class TestClosedPipe:
     def test_enumerate_into_closed_pipe_exits_0_quietly(self):
-        env = dict(os.environ)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
         # the listing is far larger than a pipe buffer, so the child is
         # still writing when the reader closes the pipe
         with subprocess.Popen(
                 [sys.executable, "-m", "permpat", "enumerate", "--set",
                  "Tkm(4,2)", "-n", "10"],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10\n"
             proc.stdout.close()
             err = proc.stderr.read()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,7 @@ from permpat.core import (
     parse_compact,
     parse_permutation,
 )
+from permpat.families import build_tkm
 
 from conftest import brute_occurrence_list, complement, reverse
 
@@ -196,6 +198,19 @@ class TestPinnedPattern:
             PinnedPattern(pattern).count_ending_at((1, 2, 3), 4, cap)
 
 
+class _ReadLog(tuple):
+    """A host that records each position read from it."""
+
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self.reads = Counter()
+        return self
+
+    def __getitem__(self, p):
+        self.reads[p] += 1
+        return super().__getitem__(p)
+
+
 class TestPatternTrie:
     def test_prefixes_that_share_an_order_share_a_node(self):
         # T(4,2): one first slot, its second below or above, and so on
@@ -203,12 +218,34 @@ class TestPatternTrie:
         widths = []
         level = [trie.root]
         for _ in range(4):
-            level = [child for node in level for child in node
-                     if child is not None]
+            level = [entry[0] for node in level for entry in node
+                     if entry is not None]
             widths.append(len(level))
         assert widths == [1, 2, 4, 6]
 
-    @given(perms(max_n=8), st.lists(patterns(max_m=4), min_size=1,
+    def test_an_entry_carries_its_patterns_later_demands(self):
+        # every pattern of T(4,2) has one later entry below its 2, two above
+        trie = PatternTrie(p.values for p in build_tkm(4, 2).patterns)
+        assert trie.root[0][1] == ((1, 2),)
+        # then 1 (none below, two above), or 3 or 4 (one or two below)
+        below, above = trie.root[0][0]
+        assert below[1] == ((0, 2),)
+        assert above[1] == ((1, 1), (2, 0))
+
+    @pytest.mark.parametrize("host, pattern", [
+        ((2, 3, 1), (1, 2, 3)),  # one later value above the 2, two needed
+        ((2, 1, 3), (3, 2, 1)),  # one later value below the 2, two needed
+    ])
+    def test_a_position_without_room_for_the_rest_is_passed_over(
+            self, host, pattern):
+        # each position is read once for its counts, and the first once
+        # more as the only candidate for the first slot, which is refused
+        # before any later slot is tried
+        host = _ReadLog(host)
+        assert not PatternTrie([pattern]).occurs_in(host)
+        assert host.reads == {0: 2, 1: 1, 2: 1}
+
+    @given(perms(max_n=8), st.lists(patterns(max_m=5), min_size=1,
                                     max_size=5))
     def test_matches_the_occurrence_walk(self, host, pats):
         k = len(pats[0])

@@ -46,6 +46,7 @@ from conftest import (
     brute_count_avoiders,
     brute_flatten,
     scan_count_avoiders,
+    time_limit,
 )
 
 
@@ -88,6 +89,14 @@ class TestEnumerateAvoiders:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_avoiders(0, build_tkm(3, 1)))
+
+    def test_tkm_9_5_is_listed_at_2000(self):
+        # every increasing prefix of a T(9,5) pattern fits the identity, so
+        # only the guard's look-ahead, which finds no entry with four
+        # smaller values after it, keeps its re-check short
+        with time_limit(60):
+            first = next(enumerate_avoiders(2000, build_tkm(9, 5), force=True))
+        assert first.values == tuple(range(1, 2001))
 
 
 class TestListingsCheckTheirArguments:
@@ -411,6 +420,14 @@ class TestEnumerateExactlyOnce:
         avoid = build_m(4, 2, parse_compact("2143"))
         first = next(enumerate_exactly_once(20, avoid, force=True))
         assert first.values == tuple(range(1, 17)) + (18, 17, 20, 19)
+
+    def test_m_9_5_is_listed_at_2000(self):
+        avoid = build_m(9, 5, parse_compact("512346789"))
+        with time_limit(60):
+            first = next(enumerate_exactly_once(2000, avoid, force=True))
+        assert first.values == (tuple(range(1, 1992))
+                                + (1996, 1992, 1993, 1994, 1995)
+                                + tuple(range(1997, 2001)))
 
 
 class TestHistogram:

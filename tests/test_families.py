@@ -253,7 +253,11 @@ class TestPredicates:
             assert not avoids_all(Permutation(perm), all_s3)
 
 
-def _every_set_with_k_at_most_4():
+# one set of length-5 patterns, whose trie is five slots deep
+_LONGER_SET = "{24153,31254,52413}"
+
+
+def _every_small_set():
     unions = [build_union_tkm(k, ms) for k in (2, 3, 4)
               for size in range(1, k + 1)
               for ms in combinations(range(1, k + 1), size)]
@@ -261,16 +265,18 @@ def _every_set_with_k_at_most_4():
               for tau in build_tkm(4, m).patterns]
     adhoc = [parse_set_expression(text) for text in (
         "{1}", "{12}", "{21}", "{2413,3142}", "{123,321}", "{1324}",
-        "{4231}", "{132,213,321}")]
+        "{4231}", "{132,213,321}", _LONGER_SET)]
     return unions + m_sets + adhoc
 
 
 @pytest.fixture(scope="module")
 def small_hosts():
-    """Every permutation of S_1..S_7 with the patterns of length at most 4
-    it contains, each found by its own capped count."""
+    """Every permutation of S_1..S_7 with the patterns of length at most 4,
+    and of the length-5 set, that it contains, each found by its own capped
+    count."""
     pats = [Permutation(p) for k in range(1, 5)
             for p in permutations(range(1, k + 1))]
+    pats += parse_set_expression(_LONGER_SET).patterns
     hosts = []
     for n in range(1, 8):
         for perm in permutations(range(1, n + 1)):
@@ -284,7 +290,7 @@ class TestSetContainmentWalk:
     """avoids_all walks the set's prefix trie once; each pattern counted on
     its own by the occurrence walk is the oracle."""
 
-    @pytest.mark.parametrize("pattern_set", _every_set_with_k_at_most_4(),
+    @pytest.mark.parametrize("pattern_set", _every_small_set(),
                              ids=PatternSet.label)
     def test_exhaustive_to_n7(self, pattern_set, small_hosts):
         members = set(pattern_set.patterns)
