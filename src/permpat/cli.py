@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 from .bijections import insert_bottom, prepend_insert, remove_bottom
@@ -69,9 +70,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     pattern_set = parse_set_expression(args.set)
     listing = (enumerate_exactly_once if pattern_set.kind == "mkm"
                else enumerate_avoiders)
-    for perm in islice(listing(args.n, pattern_set, force=args.force),
-                       args.limit):
-        print(perm)
+    _write_lines(islice(listing(args.n, pattern_set, force=args.force),
+                        args.limit))
     return 0
 
 
@@ -86,10 +86,41 @@ def _cmd_occurrences(args: argparse.Namespace) -> int:
             f"a length-{len(pattern)} pattern in a length-{len(host)} host "
             f"may take {steps} search steps, past the limit "
             f"{OCCURRENCE_WORK_LIMIT}; pass --force to override")
-    print(count_occurrences(host, pattern))
-    for pos in islice(iter_occurrences(host, pattern), args.limit):
-        print("(" + ",".join(str(i) for i in pos) + ")")
+    positions = islice(iter_occurrences(host, pattern), args.limit)
+    _write_lines(chain([count_occurrences(host, pattern)],
+                       ("(" + ",".join(map(str, pos)) + ")"
+                        for pos in positions)))
     return 0
+
+
+def _write_lines(items) -> None:
+    """Write each item to stdout on a line of its own, as print would.  The
+    first line is written and flushed at once, so a reader sees the listing
+    begin.  The rest are joined into blocks of at least
+    io.DEFAULT_BUFFER_SIZE characters, each handed to stdout in one write,
+    so an unbuffered stdout makes one write syscall per block instead of one
+    or two per line; a line longer than a block goes out as soon as it is
+    listed.  The lines held back when the items end or raise are written
+    then, before the error is reported."""
+    out = sys.stdout
+    held: list[str] = []
+    size = block = 0  # nothing is held back before the first line
+    try:
+        for item in items:
+            line = f"{item}\n"
+            held.append(line)
+            size += len(line)
+            if size >= block:
+                text = "".join(held)
+                held.clear()
+                size = 0
+                out.write(text)
+                if not block:
+                    out.flush()
+                    block = io.DEFAULT_BUFFER_SIZE
+    finally:
+        if held:
+            out.write("".join(held))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -403,15 +403,17 @@ def _adhoc_rule(nodes: list[_Node], k: int):
 
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
     """Count avoiders of an arbitrary pattern list by `_levels` over the ad
-    hoc rule of its cheapest symmetric image.  No steps are kept: each
-    state is expanded once per level.  An empty list is avoided by all n!
+    hoc rule of its cheapest symmetric image; an image that repeats an
+    earlier one is not built again.  No steps are kept: each state is
+    expanded once per level.  An empty list is avoided by all n!
     permutations."""
     if not patterns or n < len(patterns[0]):
         return factorial(n)  # every permutation avoids
     k = len(patterns[0])
     if k == 1:
         return 0
-    nodes = min(map(_match_tables, _images(patterns)), key=_cost)
+    nodes = min(map(_match_tables, dict.fromkeys(_images(patterns))),
+                key=_cost)
     return _levels(n, _adhoc_rule(nodes, k))
 
 
@@ -508,9 +510,24 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     unused.  The state is the tuple of their ranks among the unused values,
     in the order tau places them; placing the entry at rank r moves each
     pending rank above r down by one.  A candidate among them that is not
-    the next one is refused, and the last entry needs the occurrence to have
-    started.  A step depends only on the count of entries still to come and
-    the state, so each is computed once per rule.
+    the next one is refused.  A step depends only on the count of entries
+    still to come and the state, so each is computed once per rule.
+
+    The walk over these steps meets no dead end: every state it reaches
+    leads to a member.  An entry starts C(r,m-1)·C(later-r,k-m) occurrences,
+    so the occurrence starts at an entry with at least k-1 entries after
+    it.  An entry that starts nothing therefore keeps the state None only
+    if `later` >= k entries follow it, and is refused otherwise.  With that
+    many, a member follows: non-starting entries (rank 0 if m > 1, rank
+    `later` if m = 1) until k-1 entries remain after the next one, which
+    starts one occurrence at rank m-1.  Once the occurrence has started,
+    place its pending entries in tau's order, then the others: in
+    increasing order if they are larger than its values (m = k), in
+    decreasing order if smaller (m = 1); for 1 < m < k every later entry is
+    the occurrence's.  A pending entry has fewer than k-1 entries of the
+    occurrence after it and no other entry after it on the side it would
+    need, and each of the others has none, so none of them starts an
+    occurrence.
     """
     rows = _rank_rows(n, k, (m,), 2)
 
@@ -520,7 +537,7 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
         for r, starts in rows[later]:
             if state is None:
                 if not starts:
-                    if later:
+                    if later >= k:
                         found.append((r, None))
                     continue
                 # the occurrence's entries are k consecutive ranks from lo

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import permpat
 import permpat.cli as cli
 import permpat.enumeration as enumeration
 from permpat.cli import main
+from permpat.families import parse_set_expression
 from permpat.verify import VerificationRecord
 
 
@@ -389,6 +391,112 @@ class TestLargeListing:
         values = list(range(1, 2001))
         values[1991:1996] = [1996, 1992, 1993, 1994, 1995]
         assert done.stdout == ",".join(map(str, values)) + "\n"
+
+
+class _Recorder(io.StringIO):
+    """A stdout that keeps each write call and what had been written at
+    each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+        self.flushed = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+def _listing(expr, n):
+    """The members the CLI lists for `enumerate --set expr -n n`, from the
+    library."""
+    pattern_set = parse_set_expression(expr)
+    if pattern_set.kind == "mkm":
+        return enumeration.enumerate_exactly_once(n, pattern_set)
+    return enumeration.enumerate_avoiders(n, pattern_set)
+
+
+class TestListingWriter:
+    """`enumerate` and `occurrences` write their lines in blocks: the first
+    line at once, then blocks of at least io.DEFAULT_BUFFER_SIZE characters,
+    each in one write call, with the bytes print would give."""
+
+    @pytest.mark.parametrize("expr, n", [("Tkm(4,2)", 8), ("U(4;1,2)", 8),
+                                         ("{1324}", 7), ("M(4,2;2143)", 9)])
+    def test_the_output_is_the_listing(self, capsys, expr, n):
+        code, out, err = run(capsys, "enumerate", "--set", expr, "-n", str(n))
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{p}\n" for p in _listing(expr, n))
+
+    def test_a_listing_is_written_in_blocks(self, monkeypatch):
+        # print makes two write calls per line: 26,244 here
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "--set", "Tkm(4,2)", "-n", "10"]) == 0
+        size = len(out.getvalue())
+        assert size == 275562
+        assert len(out.writes) <= -(-size // io.DEFAULT_BUFFER_SIZE) + 2
+        assert all(len(text) >= io.DEFAULT_BUFFER_SIZE
+                   for text in out.writes[1:-1])
+
+    def test_the_first_line_is_flushed_before_the_second_member(
+            self, monkeypatch):
+        out = _Recorder()
+        handed = []
+        listing = cli.enumerate_avoiders
+
+        def watched(*args, **kwargs):
+            members = listing(*args, **kwargs)
+            yield next(members)
+            handed.append(out.flushed[-1] if out.flushed else "")
+            yield from members
+
+        monkeypatch.setattr(cli, "enumerate_avoiders", watched)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "--set", "Tkm(4,2)", "-n", "10"]) == 0
+        assert handed == ["1,2,3,4,5,6,7,8,9,10\n"]
+
+    @pytest.mark.parametrize("listed", [0, 1, 2, 1000])
+    def test_a_failed_guard_reports_after_the_lines_before_it(
+            self, monkeypatch, listed):
+        # stdout and stderr share one stream, so the order shows
+        members = [f"{p}\n" for p in islice(_listing("Tkm(4,2)", 10),
+                                            listed + 1)]
+        passed = 0
+
+        def avoids_all(p, pattern_set):
+            nonlocal passed
+            passed += 1
+            return passed <= listed
+
+        monkeypatch.setattr(enumeration, "avoids_all", avoids_all)
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", out)
+        assert main(["enumerate", "--set", "Tkm(4,2)", "-n", "10"]) == 3
+        head = "".join(members[:listed])
+        assert out.getvalue() == (
+            head + f"internal error: RuntimeError: enumerated "
+            f"{members[-1][:-1]} fails avoids_all for Tkm(4,2)\n")
+
+    def test_an_unbuffered_child_writes_blocks(self):
+        # the reader takes whatever each write left in the pipe, so one or
+        # two write syscalls per line would reach it in thousands of reads
+        env = dict(_child_env(), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permpat", "enumerate", "--set",
+             "Tkm(4,2)", "-n", "10"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        with proc:
+            chunks = list(iter(lambda: os.read(proc.stdout.fileno(), 1 << 16),
+                               b""))
+            assert proc.wait(timeout=60) == 0
+        expected = "".join(f"{p}\n" for p in _listing("Tkm(4,2)", 10))
+        assert b"".join(chunks) == expected.encode()
+        assert len(chunks) <= 50
 
 
 class TestClosedPipe:

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, factorial
 
 import pytest
@@ -205,6 +205,19 @@ def walk_exactly_once(n, k, m, tau):
     return _walk(n, _exactly_once_rule(n, k, m, tau))
 
 
+def counted_walk(n, steps, limit=None):
+    """The first `limit` members `_walk` lists under `steps` (all of them by
+    default), and how many nodes it asked for steps."""
+    calls = 0
+
+    def counted(later, state):
+        nonlocal calls
+        calls += 1
+        return steps(later, state)
+
+    return list(islice(_walk(n, counted), limit)), calls
+
+
 class TestExactlyOnceLevelCounts:
     """An exactly-once class is counted level by level over the rule's rank
     states, so theorems 3 and 4 hold far past the desk-scale limit; the walk
@@ -218,6 +231,35 @@ class TestExactlyOnceLevelCounts:
                 walked = sum(1 for _ in walk_exactly_once(n, k, m, tau.values))
                 assert (_count_exactly_once_rec(n, k, m, tau.values)
                         == walked), (tau, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_the_walk_meets_no_dead_end(self, k):
+        # every node the walk asks for steps is a proper prefix of a member,
+        # the empty one included, for every M(k,m;tau) at n <= 9 (n <= 8 for
+        # k = 5)
+        for m in range(1, k + 1):
+            for tau in build_tkm(k, m).patterns:
+                for n in range(1, 9 if k == 5 else 10):
+                    members, calls = counted_walk(
+                        n, _exactly_once_rule(n, k, m, tau.values))
+                    prefixes = {p.values[:d] for p in members
+                                for d in range(1, n)}
+                    assert calls == len(prefixes) + 1, (tau, n)
+                    assert (len(members)
+                            == _count_exactly_once_rec(n, k, m, tau.values))
+
+    @pytest.mark.parametrize("n, k, m, tau, limit, members, calls", [
+        (11, 4, 2, "2143", None, 2187, 9841),
+        (2000, 9, 5, "512346789", 1, 1, 2000),
+    ], ids=["M(4,2;2143)-11", "M(9,5;512346789)-2000-first"])
+    def test_nodes_asked_for_steps(self, n, k, m, tau, limit, members,
+                                   calls):
+        # a None state kept where too few entries remain for tau to start
+        # is a dead end; keeping them asks at 75,451 nodes for the first
+        # listing and 279,124 for the first member of the second
+        steps = _exactly_once_rule(n, k, m, parse_compact(tau).values)
+        listed, asked = counted_walk(n, steps, limit)
+        assert (len(listed), asked) == (members, calls)
 
     def test_a_count_is_never_walked(self, monkeypatch):
         def walk(*args):
@@ -751,6 +793,19 @@ class TestMergedAvoiderCount:
         seen = record_rank_states(monkeypatch)
         assert _count_generic(n, patterns) == members
         assert (len(seen), sum(seen)) == (states, matches)
+
+    def test_one_table_per_distinct_image(self, monkeypatch):
+        # {123}'s eight images are {123} and {321}, four times each
+        built = []
+        tables = enumeration._match_tables
+
+        def counted(patterns):
+            built.append(patterns)
+            return tables(patterns)
+
+        monkeypatch.setattr(enumeration, "_match_tables", counted)
+        assert _count_generic(6, ((1, 2, 3),)) == 132
+        assert built == [((1, 2, 3),), ((3, 2, 1),)]
 
     def test_finishability_counts_unused_values(self, monkeypatch):
         # a partial match of 123456789 is dropped once some gap it needs
