@@ -37,7 +37,7 @@ def insert_bottom(beta: Permutation, h: int) -> Permutation:
         raise ValueError(f"h={h} outside 1..{n + 1}")
     bumped = [v + 1 for v in beta.values]
     bumped.insert(h - 1, 1)
-    return Permutation(tuple(bumped))
+    return Permutation(bumped)
 
 
 def remove_bottom(alpha: Permutation) -> tuple[Permutation, int]:

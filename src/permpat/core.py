@@ -21,7 +21,7 @@ above it for the entries that pattern still needs.
 from __future__ import annotations
 
 from bisect import bisect, insort
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -35,15 +35,55 @@ __all__ = [
 _HUGE = 1 << 60
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class _Value:
+    """Value plumbing for the package's record classes, in place of a frozen
+    dataclass: equality and a hash over the fields named in `_fields`, in
+    order, a `Name(field=value, ...)` repr, pickling and copying through the
+    constructor, and no assignment once `__init__` has set the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Permutation(_Value):
     """A permutation of {1,...,n} in one-line notation; immutable, hashable,
     ordered lexicographically by its value sequence."""
 
+    __slots__ = _fields = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = self.values
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
         n = len(values)
         if n == 0:
             raise ValueError("a permutation must have at least one entry")
@@ -56,6 +96,14 @@ class Permutation:
             if seen[v]:
                 raise ValueError(f"duplicate entry {v}")
             seen[v] = True
+        # set here, not through _Value.__init__: a listing builds one
+        # Permutation per member
+        object.__setattr__(self, "values", values)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values < other.values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -84,7 +132,7 @@ def parse_permutation(text: str) -> Permutation:
     # int() also reads signs, underscores and non-ASCII digits
     if not all(_is_ascii_digits(tok) for tok in tokens):
         raise ValueError(f"not an integer sequence: {text!r}")
-    return Permutation(tuple(int(tok) for tok in tokens))
+    return Permutation(int(tok) for tok in tokens)
 
 
 def parse_compact(text: str) -> Permutation:
@@ -96,7 +144,7 @@ def parse_compact(text: str) -> Permutation:
         raise ValueError(f"not a digit-string pattern: {text!r}")
     if "0" in token:
         raise ValueError(f"digit-string patterns use digits 1..9: {text!r}")
-    return Permutation(tuple(int(ch) for ch in token))
+    return Permutation(int(ch) for ch in token)
 
 
 def _window_refs(pattern: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

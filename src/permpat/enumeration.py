@@ -126,7 +126,7 @@ def _walk(n: int, steps) -> Iterator[Permutation]:
                 ranks.append(r)
                 stack.append(iter(steps(len(unused) - 1, state)))
                 break  # descend: the new top of the stack is iterated next
-            yield Permutation(tuple(prefix))
+            yield Permutation(prefix)
             unused.insert(r, prefix.pop())
         else:
             # the top node has no more children: undo the entry it added

@@ -11,12 +11,12 @@ its ms and tau alone and lists its patterns only when they are first read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as _permutations
 from typing import Iterable
 
-from .core import Permutation, PatternTrie, count_occurrences, parse_compact
+from .core import (Permutation, PatternTrie, _Value, count_occurrences,
+                   parse_compact)
 
 __all__ = [
     "PatternSet",
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(_Value):
     """A finite set of patterns of one common length k, with provenance.
 
     A set with a `tau` is T(k,m) minus tau, with ms = (m,); one with only
@@ -41,17 +40,22 @@ class PatternSet:
     member tuple, derived for a family set on first use.
     """
 
+    # no __slots__: the cached properties below keep their values in the
+    # instance __dict__
+    _fields = ("k", "listed", "ms", "tau")
     k: int
-    listed: tuple[Permutation, ...] = ()
-    ms: tuple[int, ...] = ()
-    tau: Permutation | None = None
+    listed: tuple[Permutation, ...]
+    ms: tuple[int, ...]
+    tau: Permutation | None
 
     @property
     def kind(self) -> str:
         return "mkm" if self.tau is not None else "union" if self.ms else "adhoc"
 
-    def __post_init__(self) -> None:
-        k, ms, tau, pats = self.k, self.ms, self.tau, self.listed
+    def __init__(self, k: int, listed: Iterable[Permutation] = (),
+                 ms: Iterable[int] = (), tau: Permutation | None = None) -> None:
+        pats, ms = tuple(listed), tuple(ms)
+        super().__init__(k, pats, ms, tau)
         if self.kind == "adhoc":
             if not pats:
                 raise ValueError("ad hoc pattern set must be nonempty")

@@ -17,11 +17,8 @@ Two claims are adjudications rather than plain checks:
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations as _combinations
 from itertools import permutations as _permutations
@@ -29,7 +26,7 @@ from math import factorial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .core import Permutation, parse_compact
+from .core import Permutation, _Value, parse_compact
 from .enumeration import (
     DESK_SCALE_LIMIT,
     _count_exactly,
@@ -72,30 +69,42 @@ _ENUM_CAP = 9
 _SCAN_CAP = 8
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Value):
     """A verifiable statement: `bindings` returns its parameter bindings up
     to the claim's own ceiling, computed only when called, and `run` maps
     one binding to (oracle value, formula value)."""
 
+    __slots__ = _fields = ("claim_id", "summary", "bindings", "run",
+                           "advisory")
     claim_id: str
     summary: str
     bindings: Callable[[], list[dict]]
     run: Callable[[Mapping], tuple[int, int]]
-    advisory: bool = False
+    advisory: bool
+
+    def __init__(self, claim_id: str, summary: str,
+                 bindings: Callable[[], list[dict]],
+                 run: Callable[[Mapping], tuple[int, int]],
+                 advisory: bool = False) -> None:
+        super().__init__(claim_id, summary, bindings, run, advisory)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(_Value):
     """One claim instance: both computed values, exact-equality verdict, and
     wall-clock duration (the only nondeterministic field)."""
 
+    __slots__ = _fields = ("claim", "params", "oracle", "formula", "passed",
+                           "ms")
     claim: str
     params: tuple[tuple[str, int | str], ...]
     oracle: int
     formula: int
     passed: bool
     ms: int
+
+    def __init__(self, claim: str, params: tuple[tuple[str, int | str], ...],
+                 oracle: int, formula: int, passed: bool, ms: int) -> None:
+        super().__init__(claim, params, oracle, formula, passed, ms)
 
     def params_dict(self) -> dict[str, int | str]:
         return dict(self.params)
@@ -384,6 +393,9 @@ def write_report(records: Iterable[VerificationRecord], format: str,
     The report is written to a temporary file beside the destination and
     then renamed onto it, so a failed write leaves any earlier report whole.
     """
+    import csv
+    import json
+
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}; use json or csv")
     path = Path(destination)

@@ -584,3 +584,60 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "guard bounds n, not work" in out
         assert '"{123456789}" at n = 12' in out
+
+
+def _added_modules(code):
+    """The modules that a fresh interpreter holds after running `code` and a
+    bare one does not, under the same environment."""
+    dump = "import sys; print(*sys.modules, file=sys.stderr)"
+
+    def loaded(text):
+        proc = subprocess.run([sys.executable, "-c", text], env=_child_env(),
+                              capture_output=True, text=True, check=True)
+        return set(proc.stderr.split())
+    return loaded(f"{code}\n{dump}") - loaded(dump)
+
+
+# what `python -m permpat ARG...` runs, after which the caller's code goes on
+_RUN_CLI = """\
+import runpy, sys
+sys.argv[1:] = {argv!r}
+try:
+    runpy.run_module("permpat", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass"""
+
+
+class TestImportFootprint:
+    """`import permpat` loads a submodule only when one of its names is
+    read, and no way in loads dataclasses, inspect, json or csv."""
+
+    _HEAVY = {"dataclasses", "inspect", "json", "csv"}
+
+    def test_import_loads_no_submodule(self):
+        added = _added_modules("import permpat")
+        assert "permpat" in added
+        assert not [name for name in added if name.startswith("permpat.")]
+
+    def test_a_count_loads_only_what_it_reads(self):
+        added = _added_modules("from permpat import adhoc_set, count_avoiders")
+        assert {name for name in added if name.startswith("permpat.")} == {
+            "permpat.core", "permpat.families", "permpat.enumeration"}
+        assert not added & self._HEAVY
+
+    def test_the_cli_loads_every_module_but_no_report_writer(self):
+        added = _added_modules(_RUN_CLI.format(
+            argv=["enumerate", "--set", "{132}", "-n", "4"]))
+        assert {"permpat.cli", "permpat.verify"} <= added
+        assert not added & self._HEAVY
+
+    def test_each_name_is_read_from_its_submodule(self):
+        import permpat.verify as verify
+        assert sorted(permpat.__all__) == sorted(
+            name for name in dir(permpat) if not name.startswith("_")
+            and not inspect.ismodule(getattr(permpat, name)))
+        assert permpat.run_suite is verify.run_suite
+        assert permpat.Permutation is permpat.core.Permutation
+        assert permpat.occurrence_histogram is enumeration.occurrence_histogram
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            permpat.nothing

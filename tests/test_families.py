@@ -202,15 +202,15 @@ class TestSetConsistency:
 
     def test_family_sets_list_no_patterns_until_read(self, monkeypatch):
         built = []
-        real_post_init = Permutation.__post_init__
+        real_init = Permutation.__init__
 
-        def counting_post_init(p):
-            built.append(p.values)
-            real_post_init(p)
+        def counting_init(p, values):
+            built.append(values)
+            real_init(p, values)
 
         monkeypatch.setattr(families, "_family_patterns",
                             lambda k, m: pytest.fail("patterns listed"))
-        monkeypatch.setattr(Permutation, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
         assert build_union_tkm(9, range(1, 10)).kind == "union"
         assert count_avoiders(12, build_tkm(4, 2)) == 118098
         assert built == []
