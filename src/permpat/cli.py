@@ -57,6 +57,13 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _limit(limit: int | None) -> int | None:
+    """Check a --limit before any work; clamp it to islice's largest stop."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be a positive integer")
+    return None if limit is None else min(limit, sys.maxsize)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     pattern_set = parse_set_expression(args.set)
     count = count_exactly_once if pattern_set.kind == "mkm" else count_avoiders
@@ -65,19 +72,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 1:
-        raise ValueError("limit must be a positive integer")
+    limit = _limit(args.limit)
     pattern_set = parse_set_expression(args.set)
     listing = (enumerate_exactly_once if pattern_set.kind == "mkm"
                else enumerate_avoiders)
     _write_lines(islice(listing(args.n, pattern_set, force=args.force),
-                        args.limit))
+                        limit))
     return 0
 
 
 def _cmd_occurrences(args: argparse.Namespace) -> int:
-    if args.limit < 1:
-        raise ValueError("limit must be a positive integer")
+    limit = _limit(args.limit)
     host = parse_permutation(args.host)
     pattern = parse_permutation(args.pattern)
     steps = len(pattern) * comb(len(host), len(pattern))
@@ -86,7 +91,7 @@ def _cmd_occurrences(args: argparse.Namespace) -> int:
             f"a length-{len(pattern)} pattern in a length-{len(host)} host "
             f"may take {steps} search steps, past the limit "
             f"{OCCURRENCE_WORK_LIMIT}; pass --force to override")
-    positions = islice(iter_occurrences(host, pattern), args.limit)
+    positions = islice(iter_occurrences(host, pattern), limit)
     _write_lines(chain([count_occurrences(host, pattern)],
                        ("(" + ",".join(map(str, pos)) + ")"
                         for pos in positions)))
@@ -124,8 +129,7 @@ def _write_lines(items) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    selection = "all" if args.claims == "all" else [
-        tok.strip() for tok in args.claims.split(",") if tok.strip()]
+    selection = [tok.strip() for tok in args.claims.split(",") if tok.strip()]
     records = run_suite(selection, args.n_max, parallel=args.parallel)
     if args.out:  # before any output, so that exit 2 leaves stdout empty
         try:

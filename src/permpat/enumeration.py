@@ -32,15 +32,13 @@ Two independent computation routes live here on purpose:
 
 Every entry point takes the class's one `PatternSet`; the exactly-once ones
 take an M(k,m;tau) set and read k, m and tau from it.  Nothing here is
-cached between calls: an exactly-once rule keeps its steps for one count or
-listing, an ad hoc rule for one listing, and a `PatternSet` keeps the
-prefix trie it builds.  The
-listings check their arguments when called, then stream: each permutation
-is re-verified and yielded as the search reaches it.  The re-check is
-independent of the rank rows and the rules: it searches every pattern of
-the set through `core`, in one walk per member over the set's prefix trie
-(plus one capped count of tau for an exactly-once class).  All counts are
-exact Python integers; nothing here touches floating point.
+cached between calls.  The listings check their arguments when called,
+then stream: each permutation is re-verified and yielded as the search
+reaches it.  The re-check is independent of the rank rows and the rules:
+it searches every pattern of the set through `core`, in one walk per member
+over the set's prefix trie (plus one capped count of tau for an
+exactly-once class).  All counts are exact Python integers; nothing here
+touches floating point.
 """
 
 from __future__ import annotations
@@ -107,6 +105,11 @@ def _check_n(n: int, force: bool) -> None:
 # pending entries, and the ad hoc rule the prefix's live partial matches.
 # `_walk` places actual values, so it lists in lexicographic order; `_levels`
 # only sums the number of prefixes reaching each state.
+#
+# Only a listing memoises its rule, by walking `cache(steps)`: `_walk` asks
+# for the same (later, state) at each node whose prefix reaches that state.
+# A count never does: `_levels` expands each state once per level, so a
+# cache would never hit and would only hold every state it met.
 #
 # `_count_family`, `_iter_avoiders` and `_count_exactly_once_rec` stay as
 # thin entry points, and `_count_generic` keeps its name: the benchmark's
@@ -404,8 +407,7 @@ def _adhoc_rule(nodes: list[_Node], k: int):
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
     """Count avoiders of an arbitrary pattern list by `_levels` over the ad
     hoc rule of its cheapest symmetric image; an image that repeats an
-    earlier one is not built again.  No steps are kept: each state is
-    expanded once per level.  An empty list is avoided by all n!
+    earlier one is not built again.  An empty list is avoided by all n!
     permutations."""
     if not patterns or n < len(patterns[0]):
         return factorial(n)  # every permutation avoids
@@ -452,7 +454,7 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
     """Yield avoiders in lexicographic order, by `_walk` over a union's rank
     rows (each allowed rank with state 0) or over the ad hoc rule of the set
-    as given, whose steps are memoised for this listing."""
+    as given."""
     if pattern_set.kind == "union":
         rows = _rank_rows(n, pattern_set.k, pattern_set.ms, 1)
         yield from _walk(n, lambda later, state: rows[later])
@@ -510,8 +512,7 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     unused.  The state is the tuple of their ranks among the unused values,
     in the order tau places them; placing the entry at rank r moves each
     pending rank above r down by one.  A candidate among them that is not
-    the next one is refused.  A step depends only on the count of entries
-    still to come and the state, so each is computed once per rule.
+    the next one is refused.
 
     The walk over these steps meets no dead end: every state it reaches
     leads to a member.  An entry starts C(r,m-1)·C(later-r,k-m) occurrences,
@@ -531,7 +532,6 @@ def _exactly_once_rule(n: int, k: int, m: int, tau: tuple[int, ...]):
     """
     rows = _rank_rows(n, k, (m,), 2)
 
-    @cache
     def steps(later: int, state) -> list:
         found = []
         for r, starts in rows[later]:
@@ -577,8 +577,8 @@ def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
     arguments are checked at the call, before anything is iterated."""
     _check_n(n, force)
     tau = _exactly_once_tau(pattern_set)
-    steps = _exactly_once_rule(n, pattern_set.k, pattern_set.ms[0],
-                               tau.values)
+    steps = cache(_exactly_once_rule(n, pattern_set.k, pattern_set.ms[0],
+                                     tau.values))
     return _guarded(_walk(n, steps), contains_exactly_once, pattern_set)
 
 

@@ -374,21 +374,20 @@ def failed_records(records: Iterable[VerificationRecord]) -> list[VerificationRe
             if not r.passed and r.claim not in ADVISORY_CLAIMS]
 
 
-def _record_json_object(record: VerificationRecord) -> dict:
-    return {
-        "claim": record.claim,
-        "params": record.params_dict(),
-        "oracle": str(record.oracle),
-        "formula": str(record.formula),
-        "pass": record.passed,
-        "ms": record.ms,
-    }
+_COLUMNS = ("claim", "params", "oracle", "formula", "pass", "ms")
+
+
+def _record_row(record: VerificationRecord) -> tuple:
+    """A record's cells in `_COLUMNS` order, for both report formats."""
+    return (record.claim, record.params_dict(), str(record.oracle),
+            str(record.formula), record.passed, record.ms)
 
 
 def write_report(records: Iterable[VerificationRecord], format: str,
                  destination: str | Path) -> None:
     """Persist records as JSON (array of objects) or CSV (header row,
-    RFC-4180 quoting); counts are serialized as decimal strings.
+    RFC-4180 quoting, other cells than strings as compact JSON); counts are
+    serialized as decimal strings.
 
     The report is written to a temporary file beside the destination and
     then renamed onto it, so a failed write leaves any earlier report whole.
@@ -403,23 +402,19 @@ def write_report(records: Iterable[VerificationRecord], format: str,
     try:
         # a plain open, so the new report gets the umask's mode
         with temp.open("w", encoding="utf-8", newline="") as fh:
+            rows = map(_record_row, records)
             if format == "json":
-                payload = [_record_json_object(r) for r in records]
+                payload = [dict(zip(_COLUMNS, row)) for row in rows]
                 fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             else:
                 writer = csv.writer(fh)
-                writer.writerow(["claim", "params", "oracle", "formula",
-                                 "pass", "ms"])
-                for r in records:
+                writer.writerow(_COLUMNS)
+                for row in rows:
                     writer.writerow([
-                        r.claim,
-                        json.dumps(r.params_dict(), sort_keys=True,
-                                   separators=(",", ":")),
-                        str(r.oracle),
-                        str(r.formula),
-                        "true" if r.passed else "false",
-                        str(r.ms),
-                    ])
+                        cell if isinstance(cell, str)
+                        else json.dumps(cell, sort_keys=True,
+                                        separators=(",", ":"))
+                        for cell in row])
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

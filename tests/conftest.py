@@ -8,9 +8,11 @@ share its bugs.
 
 from __future__ import annotations
 
+import os
 import signal
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -19,6 +21,15 @@ from permpat.enumeration import _scan_count
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python process that imports this
+    checkout's package, whether or not it is installed."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @contextmanager

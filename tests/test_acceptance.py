@@ -5,14 +5,12 @@ Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
 from contextlib import contextmanager
 from itertools import permutations
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -37,7 +35,7 @@ from permpat.formulas import (
 )
 from permpat.verify import failed_records, run_suite
 
-from conftest import complement, scan_count_avoiders
+from conftest import child_env, complement, scan_count_avoiders
 
 N_ENUM = 9   # enumeration-backed grids run to n = 9
 N_SCAN = 8   # exhaustive-scan-backed grids run to n = 8
@@ -280,14 +278,10 @@ def test_criterion_8_oracle_independence(records):
 
 
 def _run_cli_verify(out_path):
-    # the child imports this checkout's package whether or not it is installed
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "permpat", "verify", "--claims", "all",
          "--n-max", "7", "--format", "json", "--out", str(out_path)],
-        env=env, capture_output=True, text=True, timeout=600,
+        env=child_env(), capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout, out_path.read_text()

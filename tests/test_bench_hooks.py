@@ -3,12 +3,13 @@ name (see perfbench/child.py).  A traced run must still work, and the layers
 it wraps must still be the ones that do the scanning and the walking."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,11 +18,9 @@ def traced(tmp_path, *argv):
     """Run perfbench/child.py --spans on argv; return the process and the
     per-span totals."""
     spans = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "perfbench/child.py", "--spans", str(spans), *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc, json.loads(spans.read_text())["totals"]

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +17,8 @@ import permpat.enumeration as enumeration
 from permpat.cli import main
 from permpat.families import parse_set_expression
 from permpat.verify import VerificationRecord
+
+from conftest import child_env
 
 
 def run(capsys, *argv):
@@ -165,6 +166,13 @@ class TestEnumerate:
         assert out == ""
         assert "limit must be a positive integer" in err
 
+    def test_limit_past_maxsize_lists_everything(self, capsys):
+        # islice refuses a stop past sys.maxsize
+        code, out, err = run(capsys, "enumerate", "--set", "{123}", "-n", "3",
+                             "--limit", "99999999999999999999")
+        assert (code, err) == (0, "")
+        assert out == "1,3,2\n2,1,3\n2,3,1\n3,1,2\n3,2,1\n"
+
 
 class TestInternalErrors:
     def test_guard_failure_exits_3(self, capsys, monkeypatch):
@@ -229,6 +237,13 @@ class TestOccurrences:
         assert code == 2
         assert out == ""
         assert err == "error: limit must be a positive integer\n"
+
+    def test_limit_past_maxsize_lists_every_tuple(self, capsys):
+        code, out, err = run(capsys, "occurrences", "--host", "1,3,2,4",
+                             "--pattern", "1,2,3", "--limit",
+                             "99999999999999999999")
+        assert (code, err) == (0, "")
+        assert out == "2\n(1,2,4)\n(1,3,4)\n"
 
     def test_non_ascii_host_exits_2(self, capsys):
         code, out, err = run(capsys, "occurrences", "--host", "\u0661",
@@ -371,14 +386,6 @@ class _ClosedPipe(io.TextIOWrapper):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def _child_env():
-    """The environment for a `python -m permpat` child run on this tree."""
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
 class TestLargeListing:
     def test_an_m_listing_at_2000_prints_its_first_member(self):
         # the whole re-check of a 2000-entry member runs in the child, so a
@@ -386,7 +393,7 @@ class TestLargeListing:
         done = subprocess.run(
             [sys.executable, "-m", "permpat", "enumerate", "--set",
              "M(9,5;512346789)", "-n", "2000", "--force", "--limit", "1"],
-            env=_child_env(), capture_output=True, text=True, timeout=60)
+            env=child_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0
         values = list(range(1, 2001))
         values[1991:1996] = [1996, 1992, 1993, 1994, 1995]
@@ -485,7 +492,7 @@ class TestListingWriter:
     def test_an_unbuffered_child_writes_blocks(self):
         # the reader takes whatever each write left in the pipe, so one or
         # two write syscalls per line would reach it in thousands of reads
-        env = dict(_child_env(), PYTHONUNBUFFERED="1")
+        env = dict(child_env(), PYTHONUNBUFFERED="1")
         proc = subprocess.Popen(
             [sys.executable, "-m", "permpat", "enumerate", "--set",
              "Tkm(4,2)", "-n", "10"],
@@ -506,7 +513,7 @@ class TestClosedPipe:
         with subprocess.Popen(
                 [sys.executable, "-m", "permpat", "enumerate", "--set",
                  "Tkm(4,2)", "-n", "10"],
-                env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9,10\n"
             proc.stdout.close()
             err = proc.stderr.read()
@@ -592,7 +599,7 @@ def _added_modules(code):
     dump = "import sys; print(*sys.modules, file=sys.stderr)"
 
     def loaded(text):
-        proc = subprocess.run([sys.executable, "-c", text], env=_child_env(),
+        proc = subprocess.run([sys.executable, "-c", text], env=child_env(),
                               capture_output=True, text=True, check=True)
         return set(proc.stderr.split())
     return loaded(f"{code}\n{dump}") - loaded(dump)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import combinations, islice, permutations
@@ -278,6 +279,18 @@ class TestExactlyOnceLevelCounts:
                     else formula_theorem4(n, k, m))
         avoid = build_m(k, m, parse_compact(tau))
         assert count_exactly_once(n, avoid, force=True) == expected
+
+    def test_a_count_keeps_no_steps(self):
+        # the count expands each state once per level, so memoised steps
+        # would never be read again; held, they peak at 23.2 MB here
+        avoid = build_m(9, 1, parse_compact("123456789"))
+        tracemalloc.start()
+        try:
+            count_exactly_once(2000, avoid, force=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCountAvoiders:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +17,8 @@ from permpat.verify import (
     verify_claim,
     write_report,
 )
+
+from conftest import child_env
 
 
 class TestRegistry:
@@ -74,10 +75,7 @@ class TestRegistry:
         # only run_suite(parallel=True) with several claims needs the pool
         code = ("import sys, permpat; print(sorted({'concurrent.futures.process',"
                 " 'multiprocessing'} & set(sys.modules)))")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
 
