@@ -43,9 +43,7 @@ values, e.g. "2,1,3".
 _COUNT_DESCRIPTION = f"""\
 Count the permutations selected by a set expression.
 
-The n > {DESK_SCALE_LIMIT} guard bounds n, not work.  A long pattern is
-avoided by nearly every permutation, so "{{123456789}}" at n = {DESK_SCALE_LIMIT}
-still visits close to {DESK_SCALE_LIMIT}! permutations without --force.
+The n > {DESK_SCALE_LIMIT} guard bounds n, not work.
 """
 
 
@@ -234,8 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="report format for --out (default json)")
     p_verify.add_argument("--out", default=None, help="write the report here")
     p_verify.add_argument("--parallel", action="store_true",
-                          help="fan whole claims out across processes "
-                               "(one claim runs serially)")
+                          help="fan whole claims out across processes, "
+                               "costliest oracle route first (one claim "
+                               "runs serially)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_map = sub.add_parser(

@@ -225,11 +225,14 @@ def _count_up_to(walk: Iterator, cap: int | None) -> int:
 
 
 def count_occurrences(host: Permutation, pattern: Permutation,
-                      cap: int | None = None) -> int:
+                      cap: int | None = None, *,
+                      refs: tuple | None = None) -> int:
     """Number of occurrences of `pattern` in `host`; with `cap`, counting
-    stops early and the result is min(true count, cap)."""
+    stops early and the result is min(true count, cap).  `refs`, the
+    pattern's `_window_refs`, spares a caller that counts one pattern in
+    many hosts from working them out again on each call."""
     pv = pattern.values
-    lower, upper = _window_refs(pv)
+    lower, upper = _window_refs(pv) if refs is None else refs
     walk = _occurrences(host.values, lower, upper, [0] * len(pv), 0)
     return _count_up_to(walk, cap)
 

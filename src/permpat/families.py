@@ -15,8 +15,8 @@ from functools import cached_property
 from itertools import permutations as _permutations
 from typing import Iterable
 
-from .core import (Permutation, PatternTrie, _Value, count_occurrences,
-                   parse_compact)
+from .core import (Permutation, PatternTrie, _Value, _window_refs,
+                   count_occurrences, parse_compact)
 
 __all__ = [
     "PatternSet",
@@ -91,6 +91,12 @@ class PatternSet(_Value):
         """The trie of the members' prefixes, built on first use."""
         return PatternTrie(p.values for p in self.patterns)
 
+    @cached_property
+    def _tau_refs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """tau's window refs, worked out once for every member a listing
+        checks."""
+        return _window_refs(self.tau.values)
+
     def label(self) -> str:
         """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)".  An ad
         hoc member longer than 9 is written in one-line form, "(1,...,10)"."""
@@ -151,7 +157,7 @@ def contains_exactly_once(p: Permutation, pattern_set: PatternSet) -> bool:
     tau = _exactly_once_tau(pattern_set)
     if not avoids_all(p, pattern_set):
         return False
-    return count_occurrences(p, tau, cap=2) == 1
+    return count_occurrences(p, tau, cap=2, refs=pattern_set._tau_refs) == 1
 
 
 # re.ASCII: \d would otherwise match any Unicode digit, which int() reads

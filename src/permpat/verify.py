@@ -69,24 +69,37 @@ _ENUM_CAP = 9
 _SCAN_CAP = 8
 
 
+# The oracle routes, costliest first: at the grid's n the S_n scan
+# outweighs the generating tree, which outweighs a count by levels, which
+# outweighs a product of rank rows.
+_ROUTES = ("scan", "tree", "levels", "rows")
+
+
 class Claim(_Value):
     """A verifiable statement: `bindings` returns its parameter bindings up
     to the claim's own ceiling, computed only when called, and `run` maps
-    one binding to (oracle value, formula value)."""
+    one binding to (oracle value, formula value).
+
+    `route` names how the oracle counts: "scan" by the unpruned S_n scan,
+    `_scan_count`; "tree" on the generating tree, `_count_exactly`;
+    "levels" by `_levels` over a rank rule (an exactly-once class or an ad
+    hoc list); "rows" as a product of a union's `_rank_rows`.  `run_suite`
+    starts the claims of the costliest route first."""
 
     __slots__ = _fields = ("claim_id", "summary", "bindings", "run",
-                           "advisory")
+                           "route", "advisory")
     claim_id: str
     summary: str
     bindings: Callable[[], list[dict]]
     run: Callable[[Mapping], tuple[int, int]]
+    route: str
     advisory: bool
 
     def __init__(self, claim_id: str, summary: str,
                  bindings: Callable[[], list[dict]],
                  run: Callable[[Mapping], tuple[int, int]],
-                 advisory: bool = False) -> None:
-        super().__init__(claim_id, summary, bindings, run, advisory)
+                 route: str, advisory: bool = False) -> None:
+        super().__init__(claim_id, summary, bindings, run, route, advisory)
 
 
 class VerificationRecord(_Value):
@@ -239,59 +252,70 @@ def _n_from(first: int) -> list[dict]:
 _CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
     Claim("theorem1",
           "|S_n(T(k,m))| = (k-2)!*(k-1)^(n+2-k), k in {3,4,5}, all m, n to 9",
-          bindings=_theorem1_bindings, run=_run_theorem1),
+          bindings=_theorem1_bindings, run=_run_theorem1, route="rows"),
     Claim("corollary_interval",
           "|S_n(T(k,a) u..u T(k,b))| = (k-1)!*(k+a-b-1)^(n+1-k), k in {3,4}, n to 9",
-          bindings=_interval_bindings, run=_run_corollary_interval),
+          bindings=_interval_bindings, run=_run_corollary_interval,
+          route="rows"),
     Claim("corollary_base_constant",
           "base case n=k of the interval union: adjudicates (k+a-b-1) "
           "against the rival constant (k+a-b+1) carried in params",
-          bindings=_base_constant_bindings, run=_run_corollary_interval),
+          bindings=_base_constant_bindings, run=_run_corollary_interval,
+          route="rows"),
     Claim("corollary2",
           "general union recurrence |S_n| = (k+i1-id-1)*|S_(n-1)| for "
           "n >= 2k+1, every nonempty index subset, k in {3,4}",
-          bindings=_corollary2_bindings, run=_run_corollary2),
+          bindings=_corollary2_bindings, run=_run_corollary2, route="rows"),
     Claim("corollary2_onset",
           "advisory probe: where the union recurrence first holds "
           "inside k+1..2k (reported, not judged)",
-          bindings=_onset_bindings, run=_run_corollary2,
+          bindings=_onset_bindings, run=_run_corollary2, route="rows",
           advisory=True),
     Claim("theorem3",
           "|S_n(T(k,1);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,1), "
           "k in {3,4}, n to 9",
-          bindings=partial(_tau_bindings, ((3, 1), (4, 1))), run=_run_theorem3),
+          bindings=partial(_tau_bindings, ((3, 1), (4, 1))), run=_run_theorem3,
+          route="levels"),
     Claim("theorem3_complement",
           "|S_n(T(k,k);tau)| = (n+1-k)*(k-1)^(n-k), every tau in T(k,k), "
           "k in {3,4}, n to 9",
-          bindings=partial(_tau_bindings, ((3, 3), (4, 4))), run=_run_theorem3),
+          bindings=partial(_tau_bindings, ((3, 3), (4, 4))), run=_run_theorem3,
+          route="levels"),
     Claim("theorem4",
           "|S_n(T(k,m);tau)| = (k-1)^(n-k) for 2 <= m <= k-1, every tau, "
           "k in {3,4}, n to 9",
           bindings=partial(_tau_bindings, ((3, 2), (4, 2), (4, 3))),
-          run=_run_theorem4),
+          run=_run_theorem4, route="levels"),
     Claim("catalan",
           "|S_n({tau})| equals the n-th Catalan number for every "
           "length-3 tau, n to 8",
-          bindings=_catalan_bindings, run=_run_catalan),
+          bindings=_catalan_bindings, run=_run_catalan, route="levels"),
     Claim("noonan",
           "permutations with exactly one 123, counted on a generating tree "
           "capped at two occurrences, number (3/n)*C(2n,n+3), n to 8",
-          bindings=partial(_n_from, 3), run=_run_noonan),
+          bindings=partial(_n_from, 3), run=_run_noonan, route="tree"),
     Claim("bona",
           "permutations with exactly one 132, counted on a generating tree "
           "capped at two occurrences, number C(2n-3,n-3), n to 8",
-          bindings=partial(_n_from, 3), run=_run_bona),
+          bindings=partial(_n_from, 3), run=_run_bona, route="tree"),
     Claim("robertson_single",
           "|S_n(123;132)| = (n-2)*2^(n-3) via exactly-once counting, n to 8",
-          bindings=partial(_n_from, 3), run=_run_robertson_single),
+          bindings=partial(_n_from, 3), run=_run_robertson_single,
+          route="levels"),
     Claim("robertson_both",
           "permutations with exactly one 123 and one 132 number "
           "(n-3)(n-4)*2^(n-5), direct filter oracle, n to 8",
-          bindings=partial(_n_from, 5), run=_run_robertson_both),
+          bindings=partial(_n_from, 5), run=_run_robertson_both, route="scan"),
 )}
 
 ADVISORY_CLAIMS = frozenset(name for name, claim in _CLAIMS.items()
                             if claim.advisory)
+
+# The order claims run in: costliest route first, registry order within a
+# route (the sort is stable).  A pool whose longest tasks start first
+# leaves no worker running one of them alone after the rest are done.
+_RUN_ORDER = sorted(_CLAIMS,
+                    key=lambda name: _ROUTES.index(_CLAIMS[name].route))
 
 
 def builtin_claims() -> list[Claim]:
@@ -322,13 +346,14 @@ def verify_claim(claim_id: str, params: Mapping[str, int | str]) -> Verification
 
 def _run_claim(claim_id: str, n_max: int) -> list[VerificationRecord]:
     """The records of one claim's bindings with n <= n_max, in binding
-    order: the unit of work one pool worker runs under parallel."""
+    order: the unit of work one pool worker runs under parallel, where the
+    claims of the costliest oracle route are handed out first."""
     return [verify_claim(claim_id, params)
             for params in _CLAIMS[claim_id].bindings() if params["n"] <= n_max]
 
 
 def _resolve_selection(selection) -> list[str]:
-    # a repeated id runs once, where it first appears
+    # a repeated id runs once
     names = list(dict.fromkeys([selection] if isinstance(selection, str)
                                else selection))
     if names == ["all"]:
@@ -346,16 +371,19 @@ def run_suite(selection="all", n_max: int = 9, *,
               parallel: bool = False) -> list[VerificationRecord]:
     """Verify every binding of the selected claims up to n_max.
 
-    n_max runs 1..DESK_SCALE_LIMIT; no grid passes n=9.  Records come back
-    sorted by claim id and then binding, so the output order never depends
-    on execution order or on the parallel flag.
+    n_max runs 1..DESK_SCALE_LIMIT; no grid passes n=9.  The claims run
+    costliest oracle route first (see `Claim`), serially or, under
+    parallel, as one pool task each, so the slowest oracles start at once.
+    Records come back sorted by claim id and then binding, so the output
+    order never depends on execution order or on the parallel flag.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > DESK_SCALE_LIMIT:
         raise ValueError(f"n_max must be <= {DESK_SCALE_LIMIT}; every "
                          f"claim's grid stops at n={_ENUM_CAP} or below")
-    names = _resolve_selection(selection)
+    chosen = set(_resolve_selection(selection))
+    names = [name for name in _RUN_ORDER if name in chosen]
     if parallel and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

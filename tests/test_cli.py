@@ -590,7 +590,9 @@ class TestUsage:
         assert main(["count", "--help"]) == 0
         out = capsys.readouterr().out
         assert "guard bounds n, not work" in out
-        assert '"{123456789}" at n = 12' in out
+        # {123456789} at n = 12 counts in a fraction of a second, so the
+        # help no longer gives it as a slow case
+        assert "123456789" not in out
 
 
 def _added_modules(code):

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permpat import enumeration
+from permpat import core, enumeration, families
 from permpat.core import (Permutation, PinnedPattern, count_occurrences,
                           parse_compact)
 from permpat.enumeration import (
@@ -468,6 +468,23 @@ class TestEnumerateExactlyOnce:
         assert out == sorted(out)
         assert len(out) == count_exactly_once(n, avoid)
         assert all(contains_exactly_once(p, avoid) for p in out)
+
+    def test_tau_window_refs_are_worked_out_once_per_listing(self,
+                                                             monkeypatch):
+        # the guard counts tau in every member from one set of window refs
+        calls = []
+        real = core._window_refs
+
+        def counted(pattern):
+            calls.append(tuple(pattern))
+            return real(pattern)
+
+        monkeypatch.setattr(core, "_window_refs", counted)
+        monkeypatch.setattr(families, "_window_refs", counted)
+        out = list(enumerate_exactly_once(8, build_m(4, 2,
+                                                     parse_compact("2143"))))
+        assert len(out) == 81
+        assert calls == [(2, 1, 4, 3)]
 
     def test_first_member_arrives_without_walking_the_class(self):
         # S_20(T(4,2); 2143) has 3^16 members; a listing that collected the

@@ -37,11 +37,12 @@ _CASES = {
         PatternSet(k=3, listed=(parse_compact("123"), parse_compact("132"))),
         PatternSet(3, (parse_compact("123"), parse_compact("213")))),
     "Claim": (
-        _THEOREM1, ("claim_id", "summary", "bindings", "run", "advisory"),
+        _THEOREM1,
+        ("claim_id", "summary", "bindings", "run", "route", "advisory"),
         Claim(claim_id=_THEOREM1.claim_id, summary=_THEOREM1.summary,
-              bindings=_THEOREM1.bindings, run=_THEOREM1.run),
+              bindings=_THEOREM1.bindings, run=_THEOREM1.run, route="rows"),
         Claim(_THEOREM1.claim_id, _THEOREM1.summary, _THEOREM1.bindings,
-              _THEOREM1.run, True)),
+              _THEOREM1.run, "rows", True)),
     "VerificationRecord": (
         VerificationRecord("theorem1", (("k", 3), ("m", 1), ("n", 3)), 2, 2,
                            True, 0),

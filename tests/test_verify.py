@@ -2,12 +2,15 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import permpat.enumeration as enumeration
 import permpat.verify as verify
+from permpat.cli import main
 from permpat.verify import (
     ADVISORY_CLAIMS,
     VerificationRecord,
@@ -19,6 +22,13 @@ from permpat.verify import (
 )
 
 from conftest import child_env
+
+# costliest oracle route first: the scan, the tree, the level counts, the
+# products of rank rows; registry order within a route
+RUN_ORDER = ["robertson_both", "noonan", "bona", "theorem3",
+             "theorem3_complement", "theorem4", "catalan", "robertson_single",
+             "theorem1", "corollary_interval", "corollary_base_constant",
+             "corollary2", "corollary2_onset"]
 
 
 class TestRegistry:
@@ -54,14 +64,18 @@ class TestRegistry:
         assert [sum(p["n"] <= n_max for p in c.bindings())
                 for c in claims] == sizes
 
-    def test_each_claim_is_one_task_in_registry_order(self, monkeypatch):
+    def test_each_claim_is_one_task_costliest_route_first(self, monkeypatch):
         # run_suite hands each selected claim to _run_claim once: one worker
         # task under parallel, and a selection of one claim starts no pool.
         calls = []
         monkeypatch.setattr(verify, "_run_claim", lambda claim_id, n_max:
                             calls.append((claim_id, n_max)) or [])
         run_suite("all", 4)
-        assert calls == [(c.claim_id, 4) for c in builtin_claims()]
+        assert calls == [(name, 4) for name in RUN_ORDER]
+        calls.clear()
+        run_suite(["theorem1", "catalan", "robertson_both", "theorem1"], 4)
+        assert calls == [("robertson_both", 4), ("catalan", 4),
+                         ("theorem1", 4)]
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one claim")
@@ -70,6 +84,54 @@ class TestRegistry:
         calls.clear()
         run_suite("theorem1", 9, parallel=True)
         assert calls == [("theorem1", 9)]
+
+    def test_pool_gets_the_costliest_routes_first(self, monkeypatch):
+        mapped = []
+
+        class RecordingPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, names, n_maxes):
+                mapped.extend(names)
+                return map(fn, names, n_maxes)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(verify, "_run_claim", lambda claim_id, n_max: [])
+        run_suite("all", 9, parallel=True)
+        assert mapped == RUN_ORDER
+
+    @pytest.mark.parametrize("claim", builtin_claims(),
+                             ids=lambda claim: claim.claim_id)
+    def test_route_names_the_oracle_that_counts(self, claim, monkeypatch):
+        # Each counting route is spied on where its callers look it up.
+        # The first binding at n >= 3 is taken: below the patterns' length
+        # catalan's count is n! and no route runs.
+        fired = []
+
+        def spy(module, name, route):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                fired.append(route)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(verify, "_scan_count", "scan")
+        spy(verify, "_count_exactly", "tree")
+        spy(enumeration, "_levels", "levels")
+        spy(enumeration, "_count_family", "rows")
+        params = next(p for p in claim.bindings() if p["n"] >= 3)
+        verify_claim(claim.claim_id, params)
+        assert fired and set(fired) == {claim.route}
 
     def test_import_loads_no_process_pool(self):
         # only run_suite(parallel=True) with several claims needs the pool
@@ -161,12 +223,18 @@ class TestRunSuite:
         keys = [(r.claim, r.params) for r in records]
         assert keys == sorted(keys)
 
-    def test_parallel_matches_serial(self):
-        serial = run_suite("all", 5)
-        parallel = run_suite("all", 5, parallel=True)
-        strip = lambda rs: [(r.claim, r.params, r.oracle, r.formula, r.passed)
-                            for r in rs]
-        assert strip(serial) == strip(parallel)
+    def test_parallel_matches_serial(self, tmp_path, capsys):
+        # the full grid through the command line: the same report bytes,
+        # once each record's timing is zeroed
+        reports = []
+        for extra in ([], ["--parallel"]):
+            path = tmp_path / f"report{len(reports)}.json"
+            assert main(["verify", "--claims", "all", "--n-max", "9",
+                         "--out", str(path), *extra]) == 0
+            assert "560/561 pass" in capsys.readouterr().out
+            reports.append(re.sub(rb'"ms": \d+', b'"ms": 0',
+                                  path.read_bytes()))
+        assert reports[0] == reports[1]
 
     def test_theorem1_oracle_independent_of_m(self):
         records = run_suite("theorem1", 6)
