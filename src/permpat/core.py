@@ -10,12 +10,13 @@ Two iterative depth-first subsequence walks do all the searching.
 for counting and listing.  It prunes twice: by remaining length (not enough
 host positions left), and by a value window (the next matched host value
 must fall strictly between the tightest already matched values below and
-above the pattern entry being matched).  `PatternTrie.occurs_in` decides
-whether any pattern of a set occurs at all, in one walk over the trie of
-the set's pattern prefixes, so a prefix that several patterns share is
-searched once.  Besides the window, it looks ahead: a host position is
-tried for a pattern entry only when enough later host values lie below and
-above it for the entries that pattern still needs.
+above the pattern entry being matched).  `PatternTrie.hits` counts the
+occurrences of every pattern of a set at once, up to a cap, in one walk
+over the trie of the set's pattern prefixes, so a prefix that several
+patterns share is searched once; each leaf holds its pattern, so the walk
+also says which patterns it met.  Besides the window, it looks ahead: a
+host position is tried for a pattern entry only when enough later host
+values lie below and above it for the entries that pattern still needs.
 """
 
 from __future__ import annotations
@@ -225,14 +226,11 @@ def _count_up_to(walk: Iterator, cap: int | None) -> int:
 
 
 def count_occurrences(host: Permutation, pattern: Permutation,
-                      cap: int | None = None, *,
-                      refs: tuple | None = None) -> int:
+                      cap: int | None = None) -> int:
     """Number of occurrences of `pattern` in `host`; with `cap`, counting
-    stops early and the result is min(true count, cap).  `refs`, the
-    pattern's `_window_refs`, spares a caller that counts one pattern in
-    many hosts from working them out again on each call."""
+    stops early and the result is min(true count, cap)."""
     pv = pattern.values
-    lower, upper = _window_refs(pv) if refs is None else refs
+    lower, upper = _window_refs(pv)
     walk = _occurrences(host.values, lower, upper, [0] * len(pv), 0)
     return _count_up_to(walk, cap)
 
@@ -275,7 +273,7 @@ class PinnedPattern:
 
 
 class PatternTrie:
-    """Containment test for a set of patterns of one length k, each a
+    """Occurrence counting for a set of patterns of one length k, each a
     permutation of 1..k, walked over the trie of their prefixes.
 
     A node at depth j stands for one distinct prefix of j slots, up to
@@ -284,7 +282,9 @@ class PatternTrie:
     the prefix's values (its gap, which fixes the same window as that
     slot's window refs).  Patterns whose first j slots have the same
     relative order share their first j nodes, so a host value enters at
-    most one entry, found by bisecting the values matched so far.
+    most one entry, found by bisecting the values matched so far.  At the
+    last slot each entry is a leaf for one pattern, and its child slot
+    holds that pattern as a tuple.
 
     `pairs` is the look-ahead of Albert, Aldred, Atkinson & Holton
     ("Algorithms for pattern involvement in permutations", ISAAC 2001):
@@ -294,7 +294,7 @@ class PatternTrie:
     less than another on both sides, and the distinct pairs are the
     minimal ones.  A host position can match the slot only if its later
     host values meet some pair.  At the last slot the only pair is
-    (0, 0), stored as `()`, and the leaf child is None.
+    (0, 0), stored as `()`.
     """
 
     __slots__ = ("length", "root")
@@ -303,6 +303,7 @@ class PatternTrie:
         self.root: list = [None]
         self.length = 0
         for pattern in patterns:
+            pattern = tuple(pattern)
             self.length = len(pattern)
             last = self.length - 1
             node = self.root
@@ -315,7 +316,7 @@ class PatternTrie:
                 pair = (below, last - j - below)
                 entry = node[gap]
                 if entry is None:
-                    child = [None] * (j + 2) if j < last else None
+                    child = [None] * (j + 2) if j < last else pattern
                     node[gap] = (child, (pair,) if j < last else ())
                 else:
                     child, pairs = entry
@@ -323,18 +324,23 @@ class PatternTrie:
                         node[gap] = (child, pairs + (pair,))
                 node = child
 
-    def occurs_in(self, host: Sequence[int]) -> bool:
-        """True when some pattern of the set occurs in `host`.
+    def hits(self, host: Sequence[int], cap: int) -> list[tuple[int, ...]]:
+        """The patterns of the first `cap` (at least 1) occurrences in
+        `host` of any pattern of the set, one per occurrence, in the walk's
+        order; fewer when the host has fewer.  So `not hits(host, 1)` says
+        the host avoids the whole set.
 
         Like `_occurrences`, each depth keeps one resumable scan over the
-        host positions that leave room for the slots after it; the walk
-        stops at the first complete match.  A position enters an entry
-        only when its counts of later smaller and later larger host values
-        meet one of the entry's pairs."""
+        host positions that leave room for the slots after it; at the last
+        slot the scan goes on past a match to count the next.  A position
+        enters an entry below the last slot only when its counts of later
+        smaller and later larger host values meet one of the entry's
+        pairs."""
+        found: list[tuple[int, ...]] = []
         n = len(host)
         last = self.length - 1
         if not 0 <= last < n:
-            return False
+            return found
         # smaller[p] counts the later host values below host[p] (the
         # Lehmer code), larger[p] those above
         smaller = [0] * n
@@ -357,8 +363,11 @@ class PatternTrie:
                 if entry is None:
                     continue
                 child, pairs = entry
-                if not pairs:
-                    break
+                if not pairs:  # a leaf: child is its pattern
+                    found.append(child)
+                    if len(found) == cap:
+                        return found
+                    continue
                 below = smaller[p]
                 above = larger[p]
                 for b, a in pairs:
@@ -369,12 +378,10 @@ class PatternTrie:
                 break
             else:
                 if j == 0:
-                    return False
+                    return found
                 j -= 1
                 matched.remove(chosen[j])
                 continue
-            if j == last:
-                return True
             v = host[p]
             insort(matched, v)
             chosen[j] = v

@@ -36,9 +36,9 @@ cached between calls.  The listings check their arguments when called,
 then stream: each permutation is re-verified and yielded as the search
 reaches it.  The re-check is independent of the rank rows and the rules:
 it searches every pattern of the set through `core`, in one walk per member
-over the set's prefix trie (plus one capped count of tau for an
-exactly-once class).  All counts are exact Python integers; nothing here
-touches floating point.
+over the set's prefix trie.  For an exactly-once class that trie holds all
+of T(k,m), tau included, and the walk stops at a second occurrence.  All
+counts are exact Python integers; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -70,8 +70,10 @@ DESK_SCALE_LIMIT = 12
 # states of {1324} about double with each n, {123} keeps one state per
 # unused value, so its steps grow like n^3 (10-16 s at n=300).  The
 # guard's trie walk re-checks a near-identity member of Tkm(9,5) or
-# M(9,5;tau) here in well under a second: its look-ahead refuses every
-# entry without enough later values below and above it.
+# M(9,5;tau) here in a few milliseconds, once the trie of T(9,5) is built
+# (about 0.3 s): its look-ahead refuses every entry without enough later
+# values below and above it, and the same walk finds an M member's one
+# occurrence of tau.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.
@@ -573,8 +575,9 @@ def count_exactly_once(n: int, pattern_set: PatternSet, *,
 def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
                            force: bool = False) -> Iterator[Permutation]:
     """Stream S_n(T(k,m); tau) for the set M(k,m;tau) in lexicographic
-    order, each member re-verified through `contains_exactly_once`.  The
-    arguments are checked at the call, before anything is iterated."""
+    order, each member re-verified through `contains_exactly_once`: one walk
+    over the trie of T(k,m), built once per set.  The arguments are checked
+    at the call, before anything is iterated."""
     _check_n(n, force)
     tau = _exactly_once_tau(pattern_set)
     steps = cache(_exactly_once_rule(n, pattern_set.k, pattern_set.ms[0],

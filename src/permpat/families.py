@@ -15,8 +15,9 @@ from functools import cached_property
 from itertools import permutations as _permutations
 from typing import Iterable
 
-from .core import (Permutation, PatternTrie, _Value, _window_refs,
-                   count_occurrences, parse_compact)
+# unused here; perfbench/child.py wraps families.count_occurrences
+from .core import (Permutation, PatternTrie, _Value, count_occurrences,
+                   parse_compact)
 
 __all__ = [
     "PatternSet",
@@ -92,10 +93,11 @@ class PatternSet(_Value):
         return PatternTrie(p.values for p in self.patterns)
 
     @cached_property
-    def _tau_refs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """tau's window refs, worked out once for every member a listing
-        checks."""
-        return _window_refs(self.tau.values)
+    def family_trie(self) -> PatternTrie:
+        """The trie of all of T(k,m), tau included, built on first use: the
+        exactly-once check of an M(k,m;tau) set walks it."""
+        return PatternTrie(p.values
+                           for p in _family_patterns(self.k, self.ms[0]))
 
     def label(self) -> str:
         """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)".  An ad
@@ -141,7 +143,7 @@ def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
     walk over the set's prefix trie, with its look-ahead, checks every
     member at once."""
     # a pattern longer than p cannot occur in it, and the trie is not built
-    return len(p) < pattern_set.k or not pattern_set.trie.occurs_in(p.values)
+    return len(p) < pattern_set.k or not pattern_set.trie.hits(p.values, 1)
 
 
 def _exactly_once_tau(pattern_set: PatternSet) -> Permutation:
@@ -153,11 +155,11 @@ def _exactly_once_tau(pattern_set: PatternSet) -> Permutation:
 
 def contains_exactly_once(p: Permutation, pattern_set: PatternSet) -> bool:
     """True when `p` is in the class of the M(k,m;tau) set: it avoids every
-    member and contains tau exactly once."""
+    member and contains tau exactly once.  That is, `p` holds exactly one
+    occurrence of any pattern of T(k,m), and it is one of tau: one walk over
+    the trie of T(k,m), which stops at a second occurrence."""
     tau = _exactly_once_tau(pattern_set)
-    if not avoids_all(p, pattern_set):
-        return False
-    return count_occurrences(p, tau, cap=2, refs=pattern_set._tau_refs) == 1
+    return pattern_set.family_trie.hits(p.values, 2) == [tau.values]
 
 
 # re.ASCII: \d would otherwise match any Unicode digit, which int() reads

@@ -74,13 +74,14 @@ def test_traced_enumerate_guard_runs_through_the_wrapped_kernel(tmp_path):
     assert "core.count_occurrences" not in totals
 
 
-def test_traced_exactly_once_guard_counts_tau_once_per_member(tmp_path):
-    # the rest of the set is avoided through the trie; tau alone is counted
+def test_traced_exactly_once_guard_is_one_trie_walk_per_member(tmp_path):
+    # each member is checked by one walk over the trie of T(4,2), tau
+    # included, so no pattern is counted on its own
     proc, totals = traced(tmp_path, "cli", "enumerate", "--set", "M(4,2;2143)",
                           "-n", "6")
     assert len(proc.stdout.splitlines()) == 9
     assert totals["families.contains_exactly_once"][0] == 9
-    assert totals["core.count_occurrences"][0] == 9
+    assert "core.count_occurrences" not in totals
 
 
 def test_traced_union_listing_is_timed_as_the_family_walk(tmp_path):

@@ -242,20 +242,25 @@ class TestPatternTrie:
         # more as the only candidate for the first slot, which is refused
         # before any later slot is tried
         host = _ReadLog(host)
-        assert not PatternTrie([pattern]).occurs_in(host)
+        assert PatternTrie([pattern]).hits(host, 1) == []
         assert host.reads == {0: 2, 1: 1, 2: 1}
 
     @given(perms(max_n=8), st.lists(patterns(max_m=5), min_size=1,
                                     max_size=5))
     def test_matches_the_occurrence_walk(self, host, pats):
+        # the trie holds each distinct pattern once, so count each once
         k = len(pats[0])
-        pats = [p for p in pats if len(p) == k]
-        expected = any(count_occurrences(host, p, cap=1) for p in pats)
+        pats = list(dict.fromkeys(p for p in pats if len(p) == k))
+        counts = Counter({p.values: count_occurrences(host, p) for p in pats})
+        total = sum(counts.values())
         trie = PatternTrie(p.values for p in pats)
-        assert trie.occurs_in(host.values) == expected
+        for cap in (1, 2, 3):
+            assert len(trie.hits(host.values, cap)) == min(cap, total)
+        # past the total, every occurrence of every pattern is met once
+        assert Counter(trie.hits(host.values, total + 1)) == +counts
 
     def test_an_empty_trie_occurs_nowhere(self):
-        assert not PatternTrie([]).occurs_in((1, 2, 3))
+        assert PatternTrie([]).hits((1, 2, 3), 1) == []
 
 
 class TestParsing:

@@ -18,7 +18,7 @@ from permpat.families import (
 )
 from permpat.enumeration import count_avoiders, enumerate_avoiders
 
-from conftest import complement
+from conftest import brute_contains_exactly_once, complement
 
 
 def _values(pattern_set):
@@ -251,6 +251,24 @@ class TestPredicates:
         all_s3 = adhoc_set(Permutation(p) for p in permutations((1, 2, 3)))
         for perm in permutations(range(1, 6)):
             assert not avoids_all(Permutation(perm), all_s3)
+
+
+class TestExactlyOnceCheck:
+    """contains_exactly_once walks the trie of all of T(k,m) once; the brute
+    filter over every k-subsequence is the oracle."""
+
+    @pytest.mark.parametrize("text", [
+        "M(2,1;12)",  # T(2,1) is tau alone, so the rest of the set is empty
+        "M(2,2;21)", "M(3,1;132)", "M(3,2;231)", "M(3,3;312)",
+        "M(4,2;2143)", "M(4,4;4123)",
+    ])
+    def test_every_permutation_to_n7(self, text):
+        avoid = parse_set_expression(text)
+        tau = avoid.tau.values
+        for n in range(1, 8):
+            for perm in permutations(range(1, n + 1)):
+                assert (contains_exactly_once(Permutation(perm), avoid)
+                        == brute_contains_exactly_once(perm, tau)), perm
 
 
 # one set of length-5 patterns, whose trie is five slots deep
