@@ -68,10 +68,10 @@ DESK_SCALE_LIMIT = 12
 # and {12}, whose runs of refused ranks are skipped whole (a few hundredths
 # of a second at n=2000, counted or listed).  Other work grows fast: the
 # states of {1324} about double with each n, {123} keeps one state per
-# unused value, so its steps grow like n^3 (10-16 s at n=300).  The
+# unused value, so its steps grow like n^3 (6-7 s at n=300).  The
 # guard's trie walk re-checks a near-identity member of Tkm(9,5) or
 # M(9,5;tau) here in a few milliseconds, once the trie of T(9,5) is built
-# (about 0.3 s): its look-ahead refuses every entry without enough later
+# (0.15-0.25 s): its look-ahead refuses every entry without enough later
 # values below and above it, and the same walk finds an M member's one
 # occurrence of tau.
 HARD_N_LIMIT = 2000
@@ -227,11 +227,14 @@ def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
 #   3. at one node, a match is dropped when each gap another needs contains
 #      its own, since every completion of it completes the other;
 #   4. the count runs on whichever of the set's eight symmetric images
-#      (`_images`) has the fewest two-sided points and needed gaps.
+#      (`_images`) has the fewest two-sided points and needed gaps, read
+#      from its needed gaps alone; only that image gets its tables.
 # A rank meets the cuts only through order tests, equality tests and counts
 # below k, so in the run between two consecutive cuts every rank at least k
 # from both ends fares alike: the first of them is worked out and the rest
 # copy its child state with their own rank in place of its.
+# `_adhoc_rule` flattens each node of `_match_tables` once, into plain
+# tuples that the step indexes by node number and tests in plain loops.
 
 def _standardize(values) -> tuple[int, ...]:
     order = sorted(values)
@@ -265,23 +268,30 @@ class _Node(NamedTuple):
     fixed: tuple  # and from both sides
 
 
+def _prefix_gaps(patterns: tuple[tuple[int, ...], ...]) -> dict:
+    """Each distinct pattern prefix of length d < k, up to order, with the
+    patterns under it and its needed gaps: those their later entries use."""
+    under: dict[tuple[int, ...], list] = {}
+    for p in patterns:
+        for d in range(len(p)):
+            under.setdefault(_standardize(p[:d]), []).append(p)
+    return {q: (ps, sorted({_gap(p[:len(q)], v)
+                            for p in ps for v in p[len(q):]}))
+            for q, ps in under.items()}
+
+
 def _match_tables(patterns: tuple[tuple[int, ...], ...]) -> list[_Node]:
     """The nodes of the patterns' prefixes; node 0 is the empty prefix."""
     k = len(patterns[0])
-    under: dict[tuple[int, ...], list] = {}
-    for p in patterns:
-        for d in range(k):
-            under.setdefault(_standardize(p[:d]), []).append(p)
-    ids = {q: i for i, q in enumerate(under)}
-    gaps = {q: sorted({_gap(p[:len(q)], v) for p in ps for v in p[len(q):]})
-            for q, ps in under.items()}
+    shape = _prefix_gaps(patterns)
+    ids = {q: i for i, q in enumerate(shape)}
     # each point's position in a stored match: bound j is points[q][j]
     points = {q: {j: i + 1 for i, j in
                   enumerate(sorted({j + e for j in js for e in (0, 1)}))}
-              for q, js in gaps.items()}
+              for q, (_, js) in shape.items()}
     nodes = []
-    for q, ps in under.items():
-        d, js, pts = len(q), gaps[q], points[q]
+    for q, (ps, js) in shape.items():
+        d, pts = len(q), points[q]
         needs = tuple((pts[j], pts[j + 1]) for j in js)
         lows = {a for a, _ in needs}
         highs = {b for _, b in needs}
@@ -322,67 +332,80 @@ def _images(patterns: tuple[tuple[int, ...], ...]) -> Iterator[tuple]:
                             for p in base)
 
 
-def _cost(nodes: list[_Node]) -> tuple[int, int]:
-    """How far a set's nodes keep prefixes apart: a two-sided point lets no
-    match cover another that differs there, and each needed gap keeps its
-    points' cuts in the state."""
-    return (sum(len(node.fixed) for node in nodes),
-            sum(len(node.needs) for node in nodes))
-
-
-def _finishable(nodes: list[_Node], match: tuple) -> bool:
-    """Whether some completion of the match finds, in each gap it needs, at
-    least as many unused values as it has entries there."""
-    node = nodes[match[0]]
-    return any(all(match[b] - match[a] >= need
-                   for (a, b), need in zip(node.needs, use))
-               for use in node.alive)
-
-
-def _covers(node: _Node, o: tuple, m: tuple) -> bool:
-    """Whether each gap that match o needs contains the same gap of m, a
-    match at its node with the same two-sided points, so that every
-    completion of m also completes o."""
-    return (all(o[i] <= m[i] for i in node.lows)
-            and all(m[i] <= o[i] for i in node.highs))
-
-
-def _rival_key(nodes: list[_Node], match: tuple) -> tuple:
-    """The node and the cuts of the two-sided points: only matches with the
-    same key can cover each other."""
-    return (match[0], *[match[i] for i in nodes[match[0]].fixed])
+def _cost(patterns: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """How far a set's rule keeps prefixes apart: a two-sided point, between
+    two needed gaps, lets no match cover another that differs there, and
+    each needed gap keeps its points' cuts in the state."""
+    gaps = [js for _, js in _prefix_gaps(patterns).values()]
+    return sum(j - 1 in js for js in gaps for j in js), sum(map(len, gaps))
 
 
 def _adhoc_rule(nodes: list[_Node], k: int):
     """Avoid the patterns of length k >= 2 whose prefix trie is `nodes`: the
     state is the prefix's live partial matches, in increasing order."""
+    # per node: (a, b, child, its points as the parent's, its needs if it
+    # is at depth k-1, else ()) for each needed gap a..b with a child; each
+    # minimal completion's nonzero (a, b, entries in the gap); and the
+    # two-sided, low and high points
+    tables = [(tuple((*gap, *kid, () if nodes[kid[0]].alive
+                      else nodes[kid[0]].needs)
+                     for gap, kid in zip(node.needs, node.kids) if kid),
+               tuple(tuple((*gap, need)
+                           for gap, need in zip(node.needs, use) if need)
+                     for use in node.alive or ()),
+               node.fixed, node.lows, node.highs) for node in nodes]
 
     def child(matches: tuple, size: int, r: int) -> tuple | None:
         """The matches after an entry of rank r among `size` unused values,
         or None where it completes a pattern."""
         grown = []
         for m in ((0, 0, size), *matches):  # the root matches always
-            node = nodes[m[0]]
-            for (a, b), kid in zip(node.needs, node.kids):
-                if kid is None or not m[a] <= r < m[b]:
-                    continue
-                refs = (kid[0], *[m[p] - (m[p] > r) if p else r
-                                  for p in kid[1]])
-                if nodes[kid[0]].alive is not None:
-                    grown.append(refs)
-                elif any(refs[i] < refs[j] for i, j in nodes[kid[0]].needs):
-                    return None
+            for a, b, kid, points, last in tables[m[0]][0]:
+                if m[a] <= r < m[b]:
+                    refs = (kid, *[m[p] - (m[p] > r) if p else r
+                                   for p in points])
+                    for i, j in last:
+                        if refs[i] < refs[j]:
+                            return None
+                    if not last:
+                        grown.append(refs)
         # keep the finishable matches, old and grown, and drop each one
-        # that another at its key covers
+        # that another at its node and two-sided cuts covers; a lone one
+        # there is kept untested
         rivals: dict = {}
         for m in {*grown, *[(m[0], *[c - (c > r) for c in m[1:]])
                             for m in matches]}:
-            if _finishable(nodes, m):
-                rivals.setdefault(_rival_key(nodes, m), []).append(m)
-        return tuple(sorted(m for key, ms in rivals.items() for m in ms
-                            if not any(o is not m
-                                       and _covers(nodes[key[0]], o, m)
-                                       for o in ms)))
+            _, alive, fixed, _, _ = tables[m[0]]
+            for use in alive:
+                for a, b, need in use:
+                    if m[b] - m[a] < need:
+                        break
+                else:
+                    rivals.setdefault((m[0], *[m[i] for i in fixed]),
+                                      []).append(m)
+                    break
+        kept = []
+        for ms in rivals.values():
+            if len(ms) == 1:
+                kept += ms
+                continue
+            _, _, _, lows, highs = tables[ms[0][0]]
+            for m in ms:
+                for o in ms:
+                    if o is m:
+                        continue
+                    for i in lows:
+                        if o[i] > m[i]:
+                            break
+                    else:
+                        for i in highs:
+                            if m[i] > o[i]:
+                                break
+                        else:
+                            break  # o covers m
+                else:
+                    kept.append(m)
+        return tuple(sorted(kept))
 
     def steps(later: int, state) -> list:
         matches = state or ()
@@ -397,9 +420,9 @@ def _adhoc_rule(nodes: list[_Node], k: int):
                 copies = middle[1:] if r in middle else ()
                 if grown is not None:
                     found.append((r, grown))
-                    found += [(s, tuple((m[0], *[s if c == r else c
-                                                 for c in m[1:]])
-                                        for m in grown)) for s in copies]
+                    found += [(s, tuple([(m[0], *[s if c == r else c
+                                                  for c in m[1:]])
+                                         for m in grown])) for s in copies]
                 r += 1 + len(copies)
         return found
 
@@ -409,16 +432,15 @@ def _adhoc_rule(nodes: list[_Node], k: int):
 def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
     """Count avoiders of an arbitrary pattern list by `_levels` over the ad
     hoc rule of its cheapest symmetric image; an image that repeats an
-    earlier one is not built again.  An empty list is avoided by all n!
-    permutations."""
+    earlier one is not costed again, and only the cheapest gets its tables.
+    An empty list is avoided by all n! permutations."""
     if not patterns or n < len(patterns[0]):
         return factorial(n)  # every permutation avoids
     k = len(patterns[0])
     if k == 1:
         return 0
-    nodes = min(map(_match_tables, dict.fromkeys(_images(patterns))),
-                key=_cost)
-    return _levels(n, _adhoc_rule(nodes, k))
+    image = min(dict.fromkeys(_images(patterns)), key=_cost)
+    return _levels(n, _adhoc_rule(_match_tables(image), k))
 
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import permutations as _permutations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 # unused here; perfbench/child.py wraps families.count_occurrences
 from .core import (Permutation, PatternTrie, _Value, count_occurrences,
@@ -83,21 +83,22 @@ class PatternSet(_Value):
     def patterns(self) -> tuple[Permutation, ...]:
         if self.kind == "adhoc":
             return self.listed
-        # each family lists its patterns in order, and the ms increase
-        return tuple(p for m in self.ms for p in _family_patterns(self.k, m)
-                     if p != self.tau)
+        return tuple(map(Permutation,
+                         _family_patterns(self.k, self.ms, self.tau)))
 
     @cached_property
     def trie(self) -> PatternTrie:
-        """The trie of the members' prefixes, built on first use."""
-        return PatternTrie(p.values for p in self.patterns)
+        """The trie of the members' prefixes, built on first use; a family
+        set's from value tuples, building no `Permutation`."""
+        if self.kind == "adhoc":
+            return PatternTrie(p.values for p in self.listed)
+        return PatternTrie(_family_patterns(self.k, self.ms, self.tau))
 
     @cached_property
     def family_trie(self) -> PatternTrie:
         """The trie of all of T(k,m), tau included, built on first use: the
         exactly-once check of an M(k,m;tau) set walks it."""
-        return PatternTrie(p.values
-                           for p in _family_patterns(self.k, self.ms[0]))
+        return PatternTrie(_family_patterns(self.k, self.ms))
 
     def label(self) -> str:
         """The set-expression form, e.g. "Tkm(3,1)" or "M(4,2;2143)".  An ad
@@ -112,9 +113,15 @@ class PatternSet(_Value):
                               for p in self.patterns) + "}"
 
 
-def _family_patterns(k: int, m: int) -> list[Permutation]:
-    rest = [v for v in range(1, k + 1) if v != m]
-    return [Permutation((m, *tail)) for tail in _permutations(rest)]
+def _family_patterns(k: int, ms: Iterable[int], tau: Permutation | None = None
+                     ) -> Iterator[tuple[int, ...]]:
+    """The patterns of T(k,m) for each m in ms but tau, as value tuples: in
+    increasing order when the ms increase."""
+    skip = None if tau is None else tau.values
+    for m in ms:
+        rest = [v for v in range(1, k + 1) if v != m]
+        yield from (p for tail in _permutations(rest)
+                    if (p := (m, *tail)) != skip)
 
 
 def build_tkm(k: int, m: int) -> PatternSet:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -749,9 +750,9 @@ def long_adhoc_lists(draw):
                                max_size=min(4, len(universe)), unique=True)))
 
 
-def record_rank_states(monkeypatch) -> list[int]:
+def record_rank_states(monkeypatch) -> list[tuple]:
     """Route every ad hoc rule through a wrapper; the returned list collects
-    the number of stored matches of each state whose steps are taken."""
+    each (later, state) whose steps are taken."""
     seen = []
     adhoc_rule = enumeration._adhoc_rule
 
@@ -759,7 +760,7 @@ def record_rank_states(monkeypatch) -> list[int]:
         steps = adhoc_rule(nodes, k)
 
         def expand(later, state):
-            seen.append(len(state or ()))
+            seen.append((later, state))
             return steps(later, state)
         return expand
 
@@ -805,37 +806,59 @@ class TestMergedAvoiderCount:
         monkeypatch.setattr(enumeration, "PinnedPattern", refuse)
         assert count_avoiders(7, adhoc_set([parse_compact("1324")])) == 2762
 
-    @pytest.mark.parametrize("patterns, n, members, states, matches", [
-        (((1, 2, 3, 4),), 9, 94359, 86, 127),
-        (((1, 3, 2, 4),), 9, 94776, 199, 440),
-        (((1, 3, 4, 2),), 9, 91245, 127, 215),
-        (((1, 3, 2),), 10, 16796, 46, 36),
-        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 189, 581),
+    @pytest.mark.parametrize("patterns, n, members, states, matches, digest", [
+        (((1, 2, 3, 4),), 9, 94359, 86, 127,
+         "ac1dad237c3011c6658f6f698183f1282a6efb4f68a98d15a7f3737952ead1dd"),
+        (((1, 3, 2, 4),), 9, 94776, 199, 440,
+         "f9018a82eccb16b87cbf56d4366d32dcb41a08ce22efc3d2f93042cd1e9dbcc3"),
+        (((1, 3, 4, 2),), 9, 91245, 127, 215,
+         "d713c11885140ac54254b63c0d80f26cbd3f493609d87dbba5a93d32118a7291"),
+        (((1, 3, 2),), 10, 16796, 46, 36,
+         "caf9023b3d2c5b4ee843ed905797c3718f43ca011648adeeefb3f7d166569e08"),
+        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 189, 581,
+         "559120f7b1f9ae056624a4e443b71f0b09e15bcf0832bb72d0bb4879db3979ef"),
         (((2, 4, 1, 5, 3), (3, 1, 2, 5, 4), (5, 2, 4, 1, 3)), 7, 3833, 120,
-         274),
+         274,
+         "11536d6e3ea5e13522d27d4fb14024fa92eeac5042487845cfe2b25379bfc672"),
     ], ids=["1234", "1324", "1342", "132", "2413,3142",
             "24153,31254,52413"])
     def test_shapes_worked_out(self, monkeypatch, patterns, n, members,
-                               states, matches):
+                               states, matches, digest):
         # The number of rank states the count expands, and their matches in
         # all, pinned: dropping any reduction leaves the count right but
-        # keeps more states apart.
+        # keeps more states apart.  The digest of the states themselves, at
+        # each level, pins that a faster step expands the very same ones.
         seen = record_rank_states(monkeypatch)
         assert _count_generic(n, patterns) == members
-        assert (len(seen), sum(seen)) == (states, matches)
+        assert (len(seen), sum(len(state or ()) for _, state in seen)) == (
+            states, matches)
+        listed = "\n".join(sorted(map(repr, seen))).encode()
+        assert hashlib.sha256(listed).hexdigest() == digest
 
     def test_one_table_per_distinct_image(self, monkeypatch):
-        # {123}'s eight images are {123} and {321}, four times each
-        built = []
-        tables = enumeration._match_tables
-
-        def counted(patterns):
-            built.append(patterns)
-            return tables(patterns)
-
-        monkeypatch.setattr(enumeration, "_match_tables", counted)
+        # {123}'s eight images are {123} and {321}, four times each: each
+        # distinct one is costed once from its shape, and only the cheapest,
+        # the first of the two at equal cost, gets full tables
+        calls = {"_cost": [], "_match_tables": []}
+        for name, seen in calls.items():
+            def counted(patterns, seen=seen, real=getattr(enumeration, name)):
+                seen.append(patterns)
+                return real(patterns)
+            monkeypatch.setattr(enumeration, name, counted)
         assert _count_generic(6, ((1, 2, 3),)) == 132
-        assert built == [((1, 2, 3),), ((3, 2, 1),)]
+        assert calls == {"_cost": [((1, 2, 3),), ((3, 2, 1),)],
+                         "_match_tables": [((1, 2, 3),)]}
+
+    @settings(max_examples=50)
+    @given(long_adhoc_lists().filter(lambda ps: len(ps[0]) > 1))
+    def test_shape_cost_is_the_tables_cost(self, patterns):
+        # the cost read from the needed gaps alone is the one the full
+        # tables give: their two-sided points and needed gaps
+        for image in enumeration._images(patterns):
+            nodes = _match_tables(image)
+            assert enumeration._cost(image) == (
+                sum(len(node.fixed) for node in nodes),
+                sum(len(node.needs) for node in nodes))
 
     def test_finishability_counts_unused_values(self, monkeypatch):
         # a partial match of 123456789 is dropped once some gap it needs

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permpat import families
-from permpat.core import Permutation, count_occurrences, parse_compact
+from permpat.core import (Permutation, PatternTrie, count_occurrences,
+                          parse_compact)
 from permpat.families import (
     PatternSet,
     adhoc_set,
@@ -209,10 +210,39 @@ class TestSetConsistency:
             real_init(p, values)
 
         monkeypatch.setattr(families, "_family_patterns",
-                            lambda k, m: pytest.fail("patterns listed"))
+                            lambda *args: pytest.fail("patterns listed"))
         monkeypatch.setattr(Permutation, "__init__", counting_init)
         assert build_union_tkm(9, range(1, 10)).kind == "union"
         assert count_avoiders(12, build_tkm(4, 2)) == 118098
+        assert built == []
+
+    @pytest.mark.parametrize("text", ["Tkm(4,2)", "U(4;1,3)", "M(4,2;2143)"])
+    def test_tuple_built_tries_walk_as_the_members_do(self, text):
+        # a family set's tries are built from value tuples; on all of S_7
+        # they find what tries built from its validated members find
+        ps = parse_set_expression(text)
+        tries = [(ps.trie, PatternTrie(p.values for p in ps.patterns))]
+        if ps.tau is not None:
+            tkm = build_tkm(ps.k, ps.ms[0])
+            tries.append((ps.family_trie,
+                          PatternTrie(p.values for p in tkm.patterns)))
+        for host in permutations(range(1, 8)):
+            for built, reference in tries:
+                assert built.hits(host, 3) == reference.hits(host, 3)
+
+    def test_family_trie_builds_no_permutation(self, monkeypatch):
+        ps = parse_set_expression("M(6,3;312456)")
+        built = []
+        real_init = Permutation.__init__
+
+        def counting_init(p, values):
+            built.append(values)
+            real_init(p, values)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        tau = (3, 1, 2, 4, 5, 6)
+        assert ps.family_trie.hits(tau, 2) == [tau]
+        assert ps.trie.hits(tau, 2) == []
         assert built == []
 
 
@@ -242,7 +272,7 @@ class TestPredicates:
     def test_a_permutation_shorter_than_k_avoids_without_reading_patterns(
             self, monkeypatch):
         monkeypatch.setattr(families, "_family_patterns",
-                            lambda k, m: pytest.fail("patterns listed"))
+                            lambda *args: pytest.fail("patterns listed"))
         assert avoids_all(Permutation((2, 1)), build_tkm(9, 9))
         assert len(list(enumerate_avoiders(6, build_tkm(9, 9)))) == 720
 
