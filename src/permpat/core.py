@@ -242,6 +242,8 @@ def iter_occurrences(host: Permutation, pattern: Permutation) -> Iterator[tuple[
     return map(tuple, _occurrences(host.values, lower, upper, [0] * len(pv), 0))
 
 
+# No code in the package uses it; the tests' generating tree does, and
+# perfbench/child.py wraps core.PinnedPattern.count_ending_at by name.
 class PinnedPattern:
     """Occurrence search for one pattern with the last slot pinned to a fixed
     host value sitting just past the end of a prefix.

@@ -13,13 +13,12 @@ Two independent computation routes live here on purpose:
   bounds a gap its completions still need: prefixes that agree there have
   the same future.  Both are counted by `_levels`, a `{state: ways}` map
   carried from the first entry to the last, and every class is listed by
-  one iterative prefix walker, `_walk`, under its rule.  A pattern list
-  reached an exact number of times is counted on West's generating tree of
-  standardized prefixes, `_count_exactly`, which visits each good
-  standardized prefix once and checks a candidate by a capped
-  pinned-pattern search per member over the occurrences that would END at
-  it; the verifier's noonan and bona oracles count this way, and the tests
-  hold the ad hoc count to it.
+  one iterative prefix walker, `_walk`, under its rule.  The ad hoc rule
+  also counts a pattern list reached an exact number of times, with the
+  occurrences so far in its state: the verifier's noonan and bona oracles
+  count exactly one 123 and one 132 this way.  The tests hold these counts
+  to West's generating tree of standardized prefixes, which checks each
+  candidate by a pinned-pattern search for the occurrences that END at it.
 * The oracle route is one naive scan, `_scan_count`: it walks every
   permutation of S_n and every k-subsequence, with no pruning and none of
   the occurrence machinery of `core`, and looks each subsequence up by its
@@ -48,7 +47,7 @@ from itertools import chain, combinations, permutations as _permutations
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
-from .core import Permutation, PinnedPattern
+from .core import Permutation
 from .families import (PatternSet, _exactly_once_tau, avoids_all,
                        contains_exactly_once)
 
@@ -94,7 +93,7 @@ def _check_n(n: int, force: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The prefix walker, its rules and the generating tree
+# The prefix walker and its rules
 # ---------------------------------------------------------------------------
 #
 # Every class is listed by `_walk` and counted by `_levels` under one rule,
@@ -104,7 +103,8 @@ def _check_n(n: int, force: bool) -> None:
 # will be followed by exactly r smaller entries and later - r larger ones
 # (its inversion-table digit).  A union's rule is its rank row, whose pairs
 # (r, 0) carry no state; the exactly-once rule keeps the ranks of tau's
-# pending entries, and the ad hoc rule the prefix's live partial matches.
+# pending entries, and the ad hoc rule the prefix's live partial matches
+# (with its occurrences so far, when it counts an exact number of them).
 # `_walk` places actual values, so it lists in lexicographic order; `_levels`
 # only sums the number of prefixes reaching each state.
 #
@@ -171,35 +171,6 @@ def _rank_rows(n: int, k: int, ms: tuple[int, ...],
             for later in range(n)]
 
 
-def _count_exactly(n: int, patterns: tuple[tuple[int, ...], ...],
-                   target: int) -> int:
-    """Count the permutations of S_n with exactly `target` occurrences of
-    the patterns in all, on the generating tree.  A node is a standardized
-    prefix, doubled so that a child's new entry is an odd value between two
-    entries or past either end.  Each member adds its occurrences ending
-    there, capped at one past what the target leaves; a leaf must reach
-    the target."""
-    checks = [PinnedPattern(p).count_ending_at for p in patterns]
-    total = 0
-    stack: list[tuple[list[int], int]] = [([], 0)]
-    while stack:
-        prefix, count = stack.pop()
-        last = len(prefix) == n - 1
-        for new in range(1, 2 * len(prefix) + 2, 2):
-            child = count
-            for ends_at in checks:
-                child += ends_at(prefix, new, target - child + 1)
-                if child > target:
-                    break
-            else:
-                if not last:
-                    stack.append(([q + 2 if q > new else q for q in prefix]
-                                  + [new + 1], child))
-                elif child == target:
-                    total += 1
-    return total
-
-
 def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
     """Count avoiders of the union of T(k,m) for m in ms."""
     return prod(map(len, _rank_rows(n, k, ms, 1)))
@@ -217,22 +188,28 @@ def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
 # needed gap: the number of unused values below that point.  An entry of
 # rank r lies in a needed gap when the gap's lower cut <= r < its upper
 # cut, and each match with such a gap grows to the child node; then every
-# cut above r drops by one.  Four reductions keep the state small and
-# canonical:
-#   1. a match one entry short of a pattern is never stored: r is refused
-#      unless each gap it needs is empty, since any value there would
-#      complete the pattern when it is placed;
+# cut above r drops by one.  The rule counts the permutations with exactly
+# t occurrences of the patterns in all, t = 0 for avoidance; past t = 0 the
+# state also carries the occurrences counted so far, 0..t, and a match
+# repeats once for each partial occurrence it stands for, at most t+1-count
+# times.  Four reductions keep the state small and canonical:
+#   1. a match one entry short of a pattern is never stored: each unused
+#      value in a gap it needs completes one occurrence when it is placed,
+#      so those values are counted at once, and r is refused once the count
+#      passes t;
 #   2. a match is dropped when each completion needs more entries in some
 #      gap than that gap holds unused values;
-#   3. at one node, a match is dropped when each gap another needs contains
-#      its own, since every completion of it completes the other;
+#   3. at one node, a match is dropped when each gap others need contains
+#      its own and they number t+1-count in all: every completion of it
+#      completes them, which passes t;
 #   4. the count runs on whichever of the set's eight symmetric images
 #      (`_images`) has the fewest two-sided points and needed gaps, read
 #      from its needed gaps alone; only that image gets its tables.
-# A rank meets the cuts only through order tests, equality tests and counts
-# below k, so in the run between two consecutive cuts every rank at least k
-# from both ends fares alike: the first of them is worked out and the rest
-# copy its child state with their own rank in place of its.
+# A rank meets the cuts only through order tests, equality tests and gap
+# sizes compared with needs below k or with t, so in the run between two
+# consecutive cuts every rank at least max(k, t+1) from both ends fares
+# alike: the first of them is worked out and the rest copy its child state
+# with their own rank in place of its.
 # `_adhoc_rule` flattens each node of `_match_tables` once, into plain
 # tuples that the step indexes by node number and tests in plain loops.
 
@@ -340,9 +317,16 @@ def _cost(patterns: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     return sum(j - 1 in js for js in gaps for j in js), sum(map(len, gaps))
 
 
-def _adhoc_rule(nodes: list[_Node], k: int):
-    """Avoid the patterns of length k >= 2 whose prefix trie is `nodes`: the
-    state is the prefix's live partial matches, in increasing order."""
+def _adhoc_rule(nodes: list[_Node], k: int, target: int = 0):
+    """Contain the patterns of length k >= 2 whose prefix trie is `nodes`
+    exactly `target` times in all.  The state is the prefix's live partial
+    matches in increasing order.  Past target 0 a match repeats once for
+    each partial occurrence it stands for, and the matches are paired with
+    the occurrences counted so far, as (count, matches)."""
+    # a run's middle ranks lie this far from both of its cuts, so that a gap
+    # beside the new entry can hold every completion's entries and, when a
+    # match one entry short needs it, more occurrences than the target
+    margin = max(k, target + 1)
     # per node: (a, b, child, its points as the parent's, its needs if it
     # is at depth k-1, else ()) for each needed gap a..b with a child; each
     # minimal completion's nonzero (a, b, entries in the gap); and the
@@ -355,26 +339,35 @@ def _adhoc_rule(nodes: list[_Node], k: int):
                      for use in node.alive or ()),
                node.fixed, node.lows, node.highs) for node in nodes]
 
-    def child(matches: tuple, size: int, r: int) -> tuple | None:
-        """The matches after an entry of rank r among `size` unused values,
-        or None where it completes a pattern."""
+    def child(count: int, matches: tuple, size: int,
+              r: int) -> tuple | None:
+        """The occurrences counted and the matches after an entry of rank r
+        among `size` unused values, or None where the count passes the
+        target."""
         grown = []
         for m in ((0, 0, size), *matches):  # the root matches always
             for a, b, kid, points, last in tables[m[0]][0]:
                 if m[a] <= r < m[b]:
                     refs = (kid, *[m[p] - (m[p] > r) if p else r
                                    for p in points])
+                    # each unused value in a gap the match one entry short
+                    # needs completes one occurrence when it is placed
                     for i, j in last:
                         if refs[i] < refs[j]:
-                            return None
+                            count += refs[j] - refs[i]
+                            if count > target:
+                                return None
                     if not last:
                         grown.append(refs)
         # keep the finishable matches, old and grown, and drop each one
-        # that another at its node and two-sided cuts covers; a lone one
-        # there is kept untested
+        # that others at its node and two-sided cuts cover `cap` times in
+        # all, where more occurrences would pass the target: every
+        # completion of it completes them.  A lone match there is kept
+        # untested.  Past target 0 a repeat stands for another occurrence.
+        cap = target + 1 - count
+        moved = [(m[0], *[c - (c > r) for c in m[1:]]) for m in matches]
         rivals: dict = {}
-        for m in {*grown, *[(m[0], *[c - (c > r) for c in m[1:]])
-                            for m in matches]}:
+        for m in grown + moved if target else {*grown, *moved}:
             _, alive, fixed, _, _ = tables[m[0]]
             for use in alive:
                 for a, b, need in use:
@@ -391,8 +384,9 @@ def _adhoc_rule(nodes: list[_Node], k: int):
                 continue
             _, _, _, lows, highs = tables[ms[0][0]]
             for m in ms:
+                covered = 0
                 for o in ms:
-                    if o is m:
+                    if o == m:
                         continue
                     for i in lows:
                         if o[i] > m[i]:
@@ -402,45 +396,56 @@ def _adhoc_rule(nodes: list[_Node], k: int):
                             if m[i] > o[i]:
                                 break
                         else:
-                            break  # o covers m
+                            covered += 1  # o covers m
+                            if covered == cap:
+                                break
                 else:
                     kept.append(m)
-        return tuple(sorted(kept))
+        kept.sort()
+        if target:  # past cap copies, one completion passes the target alike
+            kept = [m for i, m in enumerate(kept)
+                    if i < cap or kept[i - cap] != m]
+        return count, tuple(kept)
 
     def steps(later: int, state) -> list:
-        matches = state or ()
+        count, matches = (state or (0, ())) if target else (0, state or ())
         size = later + 1
         cuts = sorted({0, size, *[c for m in matches for c in m[1:]]})
         found = []
         for lo, hi in zip(cuts, cuts[1:]):
-            middle = range(lo + k, hi - k)  # the ranks that fare alike
+            middle = range(lo + margin, hi - margin)  # ranks that fare alike
             r = lo
             while r < hi:
-                grown = child(matches, size, r)
+                reached = child(count, matches, size, r)
                 copies = middle[1:] if r in middle else ()
-                if grown is not None:
-                    found.append((r, grown))
-                    found += [(s, tuple([(m[0], *[s if c == r else c
-                                                  for c in m[1:]])
-                                         for m in grown])) for s in copies]
+                # the last entry must leave exactly the target
+                if reached is not None and (later or reached[0] == target):
+                    total, grown = reached
+                    for s in (r, *copies):
+                        moved = grown if s == r else tuple(
+                            [(m[0], *[s if c == r else c for c in m[1:]])
+                             for m in grown])
+                        found.append((s, (total, moved) if target else moved))
                 r += 1 + len(copies)
         return found
 
     return steps
 
 
-def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
-    """Count avoiders of an arbitrary pattern list by `_levels` over the ad
-    hoc rule of its cheapest symmetric image; an image that repeats an
-    earlier one is not costed again, and only the cheapest gets its tables.
-    An empty list is avoided by all n! permutations."""
+def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...],
+                   target: int = 0) -> int:
+    """Count the permutations of S_n with exactly `target` occurrences of a
+    list of distinct patterns in all (its avoiders at target 0), by
+    `_levels` over the ad hoc rule of its cheapest symmetric image; an image
+    that repeats an earlier one is not costed again, and only the cheapest
+    gets its tables.  An empty list is avoided by all n! permutations."""
     if not patterns or n < len(patterns[0]):
-        return factorial(n)  # every permutation avoids
+        return 0 if target else factorial(n)  # no permutation contains one
     k = len(patterns[0])
-    if k == 1:
-        return 0
+    if k == 1:  # each entry is an occurrence of the one length-1 pattern
+        return factorial(n) if target == n else 0
     image = min(dict.fromkeys(_images(patterns)), key=_cost)
-    return _levels(n, _adhoc_rule(_match_tables(image), k))
+    return _levels(n, _adhoc_rule(_match_tables(image), k, target))
 
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
@@ -520,8 +525,8 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
     """|S_n(pattern_set)|, as the product of a union's rank rows or by
     levels of the ad hoc rule's partial-match states.  The tests check it
     against the unpruned scan, `_scan_count(n, (patterns,), 1).get((0,),
-    0)`, and the ad hoc count against the generating tree,
-    `_count_exactly`."""
+    0)`, and the ad hoc count against the generating tree of the tests'
+    conftest."""
     _check_n(n, force)
     if pattern_set.kind == "union":
         return _count_family(n, pattern_set.k, pattern_set.ms)

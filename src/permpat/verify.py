@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 from .core import Permutation, _Value, parse_compact
 from .enumeration import (
     DESK_SCALE_LIMIT,
-    _count_exactly,
+    _count_generic,
     _scan_count,
     count_avoiders,
     count_exactly_once,
@@ -70,9 +70,8 @@ _SCAN_CAP = 8
 
 
 # The oracle routes, costliest first: at the grid's n the S_n scan
-# outweighs the generating tree, which outweighs a count by levels, which
-# outweighs a product of rank rows.
-_ROUTES = ("scan", "tree", "levels", "rows")
+# outweighs a count by levels, which outweighs a product of rank rows.
+_ROUTES = ("scan", "levels", "rows")
 
 
 class Claim(_Value):
@@ -81,9 +80,9 @@ class Claim(_Value):
     one binding to (oracle value, formula value).
 
     `route` names how the oracle counts: "scan" by the unpruned S_n scan,
-    `_scan_count`; "tree" on the generating tree, `_count_exactly`;
-    "levels" by `_levels` over a rank rule (an exactly-once class or an ad
-    hoc list); "rows" as a product of a union's `_rank_rows`.  `run_suite`
+    `_scan_count`; "levels" by `_levels` over a rank rule (an exactly-once
+    class, or an ad hoc list avoided or contained an exact number of
+    times); "rows" as a product of a union's `_rank_rows`.  `run_suite`
     starts the claims of the costliest route first."""
 
     __slots__ = _fields = ("claim_id", "summary", "bindings", "run",
@@ -180,12 +179,12 @@ def _run_catalan(p: Mapping) -> tuple[int, int]:
 
 def _run_noonan(p: Mapping) -> tuple[int, int]:
     n = p["n"]
-    return _count_exactly(n, ((1, 2, 3),), 1), noonan(n)
+    return _count_generic(n, ((1, 2, 3),), 1), noonan(n)
 
 
 def _run_bona(p: Mapping) -> tuple[int, int]:
     n = p["n"]
-    return _count_exactly(n, ((1, 3, 2),), 1), bona(n)
+    return _count_generic(n, ((1, 3, 2),), 1), bona(n)
 
 
 def _run_robertson_single(p: Mapping) -> tuple[int, int]:
@@ -291,13 +290,13 @@ _CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
           "length-3 tau, n to 8",
           bindings=_catalan_bindings, run=_run_catalan, route="levels"),
     Claim("noonan",
-          "permutations with exactly one 123, counted on a generating tree "
-          "capped at two occurrences, number (3/n)*C(2n,n+3), n to 8",
-          bindings=partial(_n_from, 3), run=_run_noonan, route="tree"),
+          "permutations with exactly one 123, counted by levels of partial "
+          "matches and occurrences so far, number (3/n)*C(2n,n+3), n to 8",
+          bindings=partial(_n_from, 3), run=_run_noonan, route="levels"),
     Claim("bona",
-          "permutations with exactly one 132, counted on a generating tree "
-          "capped at two occurrences, number C(2n-3,n-3), n to 8",
-          bindings=partial(_n_from, 3), run=_run_bona, route="tree"),
+          "permutations with exactly one 132, counted by levels of partial "
+          "matches and occurrences so far, number C(2n-3,n-3), n to 8",
+          bindings=partial(_n_from, 3), run=_run_bona, route="levels"),
     Claim("robertson_single",
           "|S_n(123;132)| = (n-2)*2^(n-3) via exactly-once counting, n to 8",
           bindings=partial(_n_from, 3), run=_run_robertson_single,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from hypothesis import settings
 
-from permpat.core import Permutation
+from permpat.core import Permutation, PinnedPattern
 from permpat.enumeration import _scan_count
 
 settings.register_profile("suite", deadline=None)
@@ -109,3 +109,33 @@ def brute_contains_exactly_once(perm_values, tau_values) -> bool:
     hits = [flat for flat in map(brute_flatten, combinations(perm_values, k))
             if flat[0] == tau_values[0]]
     return hits == [tuple(tau_values)]
+
+
+def tree_count_exactly(n: int, patterns: tuple[tuple[int, ...], ...],
+                       target: int) -> int:
+    """Count the permutations of S_n with exactly `target` occurrences of
+    the patterns in all, on West's generating tree: the oracle of the rank
+    states' exact count, sharing none of its machinery.  A node is a
+    standardized prefix, doubled so that a child's new entry is an odd value
+    between two entries or past either end.  Each member adds its
+    occurrences ending there, found by a pinned-pattern search capped at
+    one past what the target leaves; a leaf must reach the target."""
+    checks = [PinnedPattern(p).count_ending_at for p in patterns]
+    total = 0
+    stack: list[tuple[list[int], int]] = [([], 0)]
+    while stack:
+        prefix, count = stack.pop()
+        last = len(prefix) == n - 1
+        for new in range(1, 2 * len(prefix) + 2, 2):
+            child = count
+            for ends_at in checks:
+                child += ends_at(prefix, new, target - child + 1)
+                if child > target:
+                    break
+            else:
+                if not last:
+                    stack.append(([q + 2 if q > new else q for q in prefix]
+                                  + [new + 1], child))
+                elif child == target:
+                    total += 1
+    return total

@@ -26,6 +26,17 @@ def traced(tmp_path, *argv):
     return proc, json.loads(spans.read_text())["totals"]
 
 
+def test_every_wrapped_name_exists():
+    # the trace installs its wrappers at names the package must keep; one
+    # that is gone fails here in seconds, with no job run
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "from child import Tracer, install; install(Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_traced_verify_runs_through_the_wrapped_scan(tmp_path):
     proc, totals = traced(tmp_path, "cli", "verify", "--claims",
                           "noonan,robertson_both", "--n-max", "5")
@@ -42,6 +53,8 @@ def test_traced_histogram_claims_walk_instead_of_scanning(tmp_path):
     assert totals["verify.claim.noonan"][0] == 4
     assert totals["verify.claim.bona"][0] == 4
     assert "enumeration.scan" not in totals
+    # both count by levels of rank states: no pinned-pattern search runs
+    assert "core.pinned" not in totals
 
 
 @pytest.mark.parametrize("argv, output, calls", [

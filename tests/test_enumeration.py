@@ -14,7 +14,6 @@ from permpat.core import (Permutation, PinnedPattern, count_occurrences,
 from permpat.enumeration import (
     DESK_SCALE_LIMIT,
     HARD_N_LIMIT,
-    _count_exactly,
     _count_exactly_once_rec,
     _adhoc_rule,
     _count_generic,
@@ -38,8 +37,9 @@ from permpat.families import (
     build_union_tkm,
     contains_exactly_once,
 )
-from permpat.formulas import (formula_corollary_interval, formula_theorem1,
-                              formula_theorem3, formula_theorem4,
+from permpat.formulas import (bona, formula_corollary_interval,
+                              formula_theorem1, formula_theorem3,
+                              formula_theorem4, noonan,
                               recurrence_coefficient)
 from permpat.verify import _count_both_exactly_one
 
@@ -49,6 +49,7 @@ from conftest import (
     brute_flatten,
     scan_count_avoiders,
     time_limit,
+    tree_count_exactly,
 )
 
 
@@ -188,8 +189,9 @@ class TestUnionsAreRankRowProducts:
             patch.setattr(enumeration, "_walk", refuse("_walk"))
             assert count_avoiders(6, union) == 48
         # the listing walks the rank rows and searches no pattern
-        for name in ("_adhoc_rule", "PinnedPattern"):
-            monkeypatch.setattr(enumeration, name, refuse(name))
+        monkeypatch.setattr(enumeration, "_adhoc_rule", refuse("_adhoc_rule"))
+        monkeypatch.setattr(PinnedPattern, "count_ending_at",
+                            refuse("PinnedPattern"))
         assert len(list(enumerate_avoiders(6, union))) == 48
 
 
@@ -597,8 +599,8 @@ def record_kernel_calls(monkeypatch) -> list[int]:
 
 
 class TestExactWalkSearch:
-    """The generating tree's kernel calls, pinned: the number of
-    `count_ending_at` calls and the sum of their results change with any
+    """The kernel calls of the tests' generating tree, pinned: the number
+    of `count_ending_at` calls and the sum of their results change with any
     change to the caps or to the pruning."""
 
     @pytest.mark.parametrize("n, pattern, members, calls, summed", [
@@ -609,7 +611,7 @@ class TestExactWalkSearch:
     def test_kernel_calls(self, monkeypatch, n, pattern, members, calls,
                           summed):
         results = record_kernel_calls(monkeypatch)
-        assert _count_exactly(n, (pattern,), 1) == members
+        assert tree_count_exactly(n, (pattern,), 1) == members
         assert (len(results), sum(results)) == (calls, summed)
 
     def test_a_class_of_one_costs_one_node_per_level(self, monkeypatch):
@@ -618,11 +620,11 @@ class TestExactWalkSearch:
         # children each cost one kernel call.
         n = 20
         results = record_kernel_calls(monkeypatch)
-        assert _count_exactly(n, ((2, 1),), 0) == 1
+        assert tree_count_exactly(n, ((2, 1),), 0) == 1
         assert len(results) <= n * (n + 1) // 2
 
     def test_exactly_one_123_at_ten(self):
-        assert _count_exactly(10, ((1, 2, 3),), 1) == 23256
+        assert tree_count_exactly(10, ((1, 2, 3),), 1) == 23256
 
 
 @st.composite
@@ -706,8 +708,9 @@ class TestRouteDifferential:
     @given(exact_count_queries(), st.integers(1, 7))
     def test_exact_count_routes_agree(self, query, n):
         patterns, target = query
-        scan = _scan_count(n, (patterns,), target + 1)
-        assert _count_exactly(n, patterns, target) == scan.get((target,), 0)
+        expected = _scan_count(n, (patterns,), target + 1).get((target,), 0)
+        assert tree_count_exactly(n, patterns, target) == expected
+        assert _count_generic(n, patterns, target) == expected
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_robertson_both_scan_matches_a_brute_filter(self, n):
@@ -737,8 +740,9 @@ def wilf_class(pattern: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
-def tree_count(n: int, patterns: tuple[tuple[int, ...], ...]) -> int:
-    return _count_exactly(n, patterns, 0)
+def tree_count(n: int, patterns: tuple[tuple[int, ...], ...],
+               target: int = 0) -> int:
+    return tree_count_exactly(n, patterns, target)
 
 
 @st.composite
@@ -756,8 +760,8 @@ def record_rank_states(monkeypatch) -> list[tuple]:
     seen = []
     adhoc_rule = enumeration._adhoc_rule
 
-    def recorded(nodes, k):
-        steps = adhoc_rule(nodes, k)
+    def recorded(nodes, k, target=0):
+        steps = adhoc_rule(nodes, k, target)
 
         def expand(later, state):
             seen.append((later, state))
@@ -769,8 +773,9 @@ def record_rank_states(monkeypatch) -> list[tuple]:
 
 
 class TestMergedAvoiderCount:
-    """The merged count of an ad hoc set against the generating tree that
-    it replaced, which stays as its oracle."""
+    """The level count of an ad hoc set, avoided or contained an exact
+    number of times, against the generating tree that it replaced, which
+    stays as its oracle in conftest."""
 
     @pytest.mark.parametrize("patterns", [
         subset for r in range(1, 7)
@@ -778,7 +783,9 @@ class TestMergedAvoiderCount:
     ], ids=lambda subset: ",".join("".join(map(str, p)) for p in subset))
     def test_every_set_of_length_3_patterns(self, patterns):
         for n in range(1, 10):
-            assert _count_generic(n, patterns) == tree_count(n, patterns)
+            for target in range(3):
+                assert (_count_generic(n, patterns, target)
+                        == tree_count(n, patterns, target))
 
     @pytest.mark.parametrize("pattern", sorted(permutations(range(1, 5))),
                              ids=lambda p: "".join(map(str, p)))
@@ -792,46 +799,102 @@ class TestMergedAvoiderCount:
             assert _count_generic(n, (pattern,)) == tree_count(n, (rep,))
         assert _count_generic(9, (pattern,)) == {
             (1, 2, 3, 4): 94359, (1, 3, 4, 2): 91245, (1, 3, 2, 4): 94776}[rep]
+        # a Wilf class of avoiders need not share its exact counts
+        for n in range(1, 8):
+            for target in (1, 2):
+                assert (_count_generic(n, (pattern,), target)
+                        == tree_count(n, (pattern,), target))
 
     @settings(max_examples=25)
     @given(long_adhoc_lists(), st.integers(1, 8))
     def test_ad_hoc_lists(self, patterns, n):
-        assert _count_generic(n, patterns) == _count_exactly(n, patterns, 0)
+        assert _count_generic(n, patterns) == tree_count(n, patterns)
 
     def test_the_count_never_walks_the_tree(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the merged count walked the tree")
+            raise AssertionError("the merged count searched a pinned pattern")
 
-        monkeypatch.setattr(enumeration, "_count_exactly", refuse)
-        monkeypatch.setattr(enumeration, "PinnedPattern", refuse)
+        monkeypatch.setattr(PinnedPattern, "count_ending_at", refuse)
         assert count_avoiders(7, adhoc_set([parse_compact("1324")])) == 2762
+        assert _count_generic(7, ((1, 3, 2, 4),), 1) == 522
 
-    @pytest.mark.parametrize("patterns, n, members, states, matches, digest", [
-        (((1, 2, 3, 4),), 9, 94359, 86, 127,
+    @pytest.mark.parametrize("n, patterns, target, members", [
+        (2, ((1, 2, 3),), 0, 2), (2, ((1, 2, 3),), 1, 0),
+        (3, (), 0, 6), (3, (), 1, 0),
+        (3, ((1,),), 3, 6), (3, ((1,),), 2, 0), (3, ((1,),), 0, 0),
+        (1, ((1,),), 1, 1),
+    ], ids=["short-0", "short-1", "empty-0", "empty-1", "k1-3", "k1-2",
+            "k1-0", "k1-n1"])
+    def test_targets_the_rule_never_sees(self, n, patterns, target, members):
+        # below the patterns' length no permutation holds an occurrence, and
+        # each entry is one occurrence of the pattern 1
+        assert _count_generic(n, patterns, target) == members
+        assert tree_count_exactly(n, patterns, target) == members
+
+    def test_inversions_past_the_pattern_length(self):
+        # A target past k-1 widens the run margin to t+1.  Exactly t
+        # occurrences of 21 are t inversions, counted by the Mahonian
+        # numbers, the coefficients of the product over i <= n of
+        # 1 + x + ... + x^(i-1) (Knuth, TAOCP Vol. 3, 5.1.1); 12 counts
+        # the same by reversal.
+        top = 6
+        row = [1] + [0] * top
+        for n in range(1, 21):
+            row = [sum(row[max(0, t - n + 1):t + 1]) for t in range(top + 1)]
+            for target in range(top + 1):
+                assert (_count_generic(n, ((2, 1),), target)
+                        == _count_generic(n, ((1, 2),), target) == row[target])
+
+    @pytest.mark.parametrize("pattern", [(1, 2, 3), (1, 3, 2)],
+                             ids=["123", "132"])
+    def test_a_target_past_the_pattern_length(self, pattern):
+        assert (_count_generic(9, (pattern,), 3)
+                == tree_count_exactly(9, (pattern,), 3))
+
+    @pytest.mark.parametrize("pattern, count", [((1, 2, 3), noonan),
+                                                ((1, 3, 2), bona)],
+                             ids=["noonan", "bona"])
+    def test_exactly_one_at_twenty(self, pattern, count):
+        # out of the tree's reach: it reaches each member as its own leaf
+        with time_limit(10):
+            assert _count_generic(20, (pattern,), 1) == count(20)
+
+    @pytest.mark.parametrize(
+        "patterns, n, target, members, states, matches, digest", [
+        (((1, 2, 3, 4),), 9, 0, 94359, 86, 127,
          "ac1dad237c3011c6658f6f698183f1282a6efb4f68a98d15a7f3737952ead1dd"),
-        (((1, 3, 2, 4),), 9, 94776, 199, 440,
+        (((1, 3, 2, 4),), 9, 0, 94776, 199, 440,
          "f9018a82eccb16b87cbf56d4366d32dcb41a08ce22efc3d2f93042cd1e9dbcc3"),
-        (((1, 3, 4, 2),), 9, 91245, 127, 215,
+        (((1, 3, 4, 2),), 9, 0, 91245, 127, 215,
          "d713c11885140ac54254b63c0d80f26cbd3f493609d87dbba5a93d32118a7291"),
-        (((1, 3, 2),), 10, 16796, 46, 36,
+        (((1, 3, 2),), 10, 0, 16796, 46, 36,
          "caf9023b3d2c5b4ee843ed905797c3718f43ca011648adeeefb3f7d166569e08"),
-        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 8558, 189, 581,
+        (((2, 4, 1, 3), (3, 1, 4, 2)), 8, 0, 8558, 189, 581,
          "559120f7b1f9ae056624a4e443b71f0b09e15bcf0832bb72d0bb4879db3979ef"),
-        (((2, 4, 1, 5, 3), (3, 1, 2, 5, 4), (5, 2, 4, 1, 3)), 7, 3833, 120,
+        (((2, 4, 1, 5, 3), (3, 1, 2, 5, 4), (5, 2, 4, 1, 3)), 7, 0, 3833, 120,
          274,
          "11536d6e3ea5e13522d27d4fb14024fa92eeac5042487845cfe2b25379bfc672"),
+        # Both tries store matches at one node, "1", so the states of
+        # exactly one 123 and one 132 agree; what a match one entry short
+        # needs differs.
+        (((1, 2, 3),), 10, 1, 23256, 201, 337,
+         "3776647ee79d2b8a579c7a78cfc7be48da8ab6c621555de81673260924931d1a"),
+        (((1, 3, 2),), 10, 1, 19448, 201, 337,
+         "3776647ee79d2b8a579c7a78cfc7be48da8ab6c621555de81673260924931d1a"),
     ], ids=["1234", "1324", "1342", "132", "2413,3142",
-            "24153,31254,52413"])
-    def test_shapes_worked_out(self, monkeypatch, patterns, n, members,
-                               states, matches, digest):
+            "24153,31254,52413", "123-once", "132-once"])
+    def test_shapes_worked_out(self, monkeypatch, patterns, n, target,
+                               members, states, matches, digest):
         # The number of rank states the count expands, and their matches in
         # all, pinned: dropping any reduction leaves the count right but
         # keeps more states apart.  The digest of the states themselves, at
         # each level, pins that a faster step expands the very same ones.
+        # Past target 0 a state is (count, matches).
         seen = record_rank_states(monkeypatch)
-        assert _count_generic(n, patterns) == members
-        assert (len(seen), sum(len(state or ()) for _, state in seen)) == (
-            states, matches)
+        assert _count_generic(n, patterns, target) == members
+        assert (len(seen), sum(len(state[1] if target else state)
+                               for _, state in seen if state)
+                ) == (states, matches)
         listed = "\n".join(sorted(map(repr, seen))).encode()
         assert hashlib.sha256(listed).hexdigest() == digest
 

@@ -23,12 +23,12 @@ from permpat.verify import (
 
 from conftest import child_env
 
-# costliest oracle route first: the scan, the tree, the level counts, the
-# products of rank rows; registry order within a route
-RUN_ORDER = ["robertson_both", "noonan", "bona", "theorem3",
-             "theorem3_complement", "theorem4", "catalan", "robertson_single",
-             "theorem1", "corollary_interval", "corollary_base_constant",
-             "corollary2", "corollary2_onset"]
+# costliest oracle route first: the scan, the level counts, the products
+# of rank rows; registry order within a route
+RUN_ORDER = ["robertson_both", "theorem3", "theorem3_complement", "theorem4",
+             "catalan", "noonan", "bona", "robertson_single", "theorem1",
+             "corollary_interval", "corollary_base_constant", "corollary2",
+             "corollary2_onset"]
 
 
 class TestRegistry:
@@ -126,7 +126,6 @@ class TestRegistry:
             monkeypatch.setattr(module, name, counted)
 
         spy(verify, "_scan_count", "scan")
-        spy(verify, "_count_exactly", "tree")
         spy(enumeration, "_levels", "levels")
         spy(enumeration, "_count_family", "rows")
         params = next(p for p in claim.bindings() if p["n"] >= 3)
