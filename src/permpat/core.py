@@ -110,13 +110,13 @@ class Permutation(_Value):
         return len(self.values)
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.values)
+        return ",".join(map(str, self.values))
 
     def compact(self) -> str:
         """Digit-string form like "2143"; defined only for n <= 9."""
         if len(self.values) > 9:
             raise ValueError("compact form is only defined for n <= 9")
-        return "".join(str(v) for v in self.values)
+        return "".join(map(str, self.values))
 
 
 def _is_ascii_digits(token: str) -> bool:

@@ -19,11 +19,14 @@ Two independent computation routes live here on purpose:
   count exactly one 123 and one 132 this way.  The tests hold these counts
   to West's generating tree of standardized prefixes, which checks each
   candidate by a pinned-pattern search for the occurrences that END at it.
-* The oracle route is one naive scan, `_scan_count`: it walks every
-  permutation of S_n and every k-subsequence, with no pruning and none of
-  the occurrence machinery of `core`, and looks each subsequence up by its
-  values in a table of the value tuples that match a pattern, so the two
-  routes cross-validate each other.  The tests' avoider oracle,
+* The oracle route is one exhaustive scan, `_scan_count`: it walks the
+  prefix tree of S_n and counts every k-subsequence, with none of the
+  occurrence machinery of `core` and no rank rule, looking each one up by
+  its values in a table of the value tuples that match a pattern, so the
+  two routes cross-validate each other.  A subsequence is looked up once
+  per prefix and shared by every permutation below it; the only pruning is
+  the cap, which tallies a prefix's whole subtree at once when a count
+  reaches it.  The tests' avoider oracle,
   `occurrence_histogram` (a plain {occurrences: permutations} dict) and
   the verifier's exactly-one-123-and-one-132 oracle read it.  No verifier
   claim reads `occurrence_histogram`: it stays for library callers and for
@@ -43,7 +46,7 @@ counts are exact Python integers; nothing here touches floating point.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations, permutations as _permutations
+from itertools import chain, combinations
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -450,34 +453,80 @@ def _count_generic(n: int, patterns: tuple[tuple[int, ...], ...],
 
 def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
                 cap: int | None = None) -> dict[tuple[int, ...] | None, int]:
-    """Unpruned oracle: for every permutation of S_n, count the
-    k-subsequences matching each group of length-k patterns, and tally the
-    count vectors.
+    """Oracle: for every permutation of S_n, count the k-subsequences
+    matching each group of length-k patterns, and tally the count vectors.
 
     Groups must be disjoint.  A permutation in which some group reaches
-    `cap` occurrences stops being scanned and is tallied under None, so
-    every vector in the tally is exact.
+    `cap` occurrences (a cap is at least 1) is tallied under None, so every
+    vector in the tally is exact.
+
+    The scan walks the prefix tree of S_n depth first.  Each prefix carries
+    its counts and, for every value still unused, the counts of its
+    (k-1)-subsequences that the value completes to a pattern: placing the
+    value adds them.  The (k-1)-subsequences an entry u adds to the prefix
+    are the prefix's (k-2)-subsequences followed by u, so each k-subsequence
+    is looked up once, at the prefix that places its next-to-last entry,
+    and shared by every permutation below it.  A prefix at which a group
+    reaches `cap` tallies all the permutations below it under None at once.
     """
     k = len(groups[0][0])
-    # Each k-set of values, placed in a pattern's order, is a value tuple
-    # that standardizes to that pattern, so a subsequence is looked up as it
-    # stands.
-    group_of = {tuple(values[i - 1] for i in p): g
-                for values in combinations(range(1, n + 1), k)
-                for g, patterns in enumerate(groups) for p in patterns}
-    tally: dict[tuple[int, ...] | None, int] = {}
-    for perm in _permutations(range(1, n + 1)):
-        counts = [0] * len(groups)
-        vector: tuple[int, ...] | None = None
-        for g in map(group_of.get, combinations(perm, k)):
-            if g is not None:
-                counts[g] += 1
-                if counts[g] == cap:
-                    break
-        else:
-            vector = tuple(counts)
-        tally[vector] = tally.get(vector, 0) + 1
-    return tally
+    # A count vector is one integer, `width` bits per group.  Each field's
+    # top bit stays clear, as no count or cap reaches 2**(width-1), so
+    # adding `lift`, 2**(width-1) - cap in each field, sets a top bit in
+    # `tops` exactly where a group has reached the cap.
+    width = max(comb(n, k), cap or 0).bit_length() + 1
+    shifts = range(0, width * len(groups), width)
+    lift = tops = 0
+    if cap is not None:
+        for s in shifts:
+            lift += ((1 << (width - 1)) - cap) << s
+            tops |= 1 << (s + width - 1)
+    # ends[u][v] maps each (k-2)-tuple of values that, followed by u and v,
+    # matches a pattern onto its group's field; k-sets of values placed in a
+    # pattern's order are exactly the value tuples standardizing to it.  At
+    # k = 1 each value alone is an occurrence, counted from the empty prefix.
+    ends = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
+    start = dict.fromkeys(range(1, n + 1), 0)
+    for values in combinations(range(1, n + 1), k):
+        for s, patterns in zip(shifts, groups):
+            for p in patterns:
+                *head, v = (values[i - 1] for i in p)
+                if head:
+                    *rest, u = head
+                    ends[u][v][tuple(rest)] = 1 << s
+                else:
+                    start[v] = 1 << s
+    tally: dict[int | None, int] = {} if n else {0: 1}
+    prefix: list[int] = []
+    lead = max(k - 2, 0)  # a match's entries before its last two
+
+    def extend(pending: dict[int, int], counts: int) -> None:
+        later = len(pending) - 1  # entries after the one placed here
+        for u, adds in pending.items():
+            reached = counts + adds
+            if adds and (reached + lift) & tops:
+                tally[None] = tally.get(None, 0) + factorial(later)
+                continue
+            pairs = ends[u]
+            after = {v: c + sum(filter(None, map(pairs[v].get,
+                                                 combinations(prefix, lead))))
+                     for v, c in pending.items() if v != u}
+            if later > 1:
+                prefix.append(u)
+                extend(after, reached)
+                prefix.pop()
+                continue
+            # the last entry, if any, is placed here rather than by a call
+            final = reached + sum(after.values())
+            if final != reached and (final + lift) & tops:
+                final = None
+            tally[final] = tally.get(final, 0) + 1
+
+    if n:
+        extend(start, 0)
+    mask = (1 << width) - 1
+    return {c if c is None else tuple(c >> s & mask for s in shifts): ways
+            for c, ways in tally.items()}
 
 
 def _iter_avoiders(n: int, pattern_set: PatternSet) -> Iterator[Permutation]:
@@ -524,7 +573,7 @@ def count_avoiders(n: int, pattern_set: PatternSet, *,
                    force: bool = False) -> int:
     """|S_n(pattern_set)|, as the product of a union's rank rows or by
     levels of the ad hoc rule's partial-match states.  The tests check it
-    against the unpruned scan, `_scan_count(n, (patterns,), 1).get((0,),
+    against the exhaustive scan, `_scan_count(n, (patterns,), 1).get((0,),
     0)`, and the ad hoc count against the generating tree of the tests'
     conftest."""
     _check_n(n, force)
@@ -614,7 +663,7 @@ def enumerate_exactly_once(n: int, pattern_set: PatternSet, *,
 
 def occurrence_histogram(n: int, tau: Permutation) -> dict[int, int]:
     """{r: permutations of S_n with exactly r occurrences of tau}, nonzero
-    buckets only, by exhaustive unpruned scan (the oracle route)."""
+    buckets only, by the uncapped exhaustive scan (the oracle route)."""
     _check_n(n, False)
     tally = _scan_count(n, ((tau.values,),))
     return {vector[0]: c for vector, c in tally.items()}

@@ -70,7 +70,10 @@ _SCAN_CAP = 8
 
 
 # The oracle routes, costliest first: at the grid's n the S_n scan
-# outweighs a count by levels, which outweighs a product of rank rows.
+# outweighs a count by levels, which outweighs a product of rank rows.  In
+# one process (2-core container, CPython 3.11) robertson_both's scans take
+# 30-50 ms of CPU, the costliest levels claim, catalan, 12-14 ms, and the
+# costliest rows claim 4-5 ms.
 _ROUTES = ("scan", "levels", "rows")
 
 
@@ -79,7 +82,7 @@ class Claim(_Value):
     to the claim's own ceiling, computed only when called, and `run` maps
     one binding to (oracle value, formula value).
 
-    `route` names how the oracle counts: "scan" by the unpruned S_n scan,
+    `route` names how the oracle counts: "scan" by the exhaustive S_n scan,
     `_scan_count`; "levels" by `_levels` over a rank rule (an exactly-once
     class, or an ad hoc list avoided or contained an exact number of
     times); "rows" as a product of a union's `_rank_rows`.  `run_suite`
@@ -124,8 +127,8 @@ class VerificationRecord(_Value):
 
 def _count_both_exactly_one(n: int) -> int:
     """Direct filter oracle: permutations of S_n containing exactly one
-    ascending triple (123) and exactly one 132, counted by the naive scan
-    with no shared pruning machinery."""
+    ascending triple (123) and exactly one 132, counted by the exhaustive
+    scan, which shares no machinery with the rank rules."""
     return _scan_count(n, (((1, 2, 3),), ((1, 3, 2),)), 2).get((1, 1), 0)
 
 

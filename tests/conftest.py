@@ -95,8 +95,8 @@ def brute_count_avoiders(n: int, pattern_set) -> int:
 
 
 def scan_count_avoiders(n: int, pattern_set) -> int:
-    """|S_n(pattern_set)| by the package's unpruned scan oracle, which
-    shares none of the pruned walk's machinery."""
+    """|S_n(pattern_set)| by the package's exhaustive scan oracle, which
+    shares none of the rank rules' machinery."""
     patterns = tuple(p.values for p in pattern_set.patterns)
     return _scan_count(n, (patterns,), 1).get((0,), 0)
 

@@ -553,19 +553,55 @@ def brute_scan_tally(n, groups, cap):
     return dict(tally)
 
 
+ROBERTSON_GROUPS = (((1, 2, 3),), ((1, 3, 2),))
+
+
 class TestScanTable:
-    """The scan looks each subsequence up by its values; pattern groups of
-    length 4, capped and not, are checked against a brute tally, from n < k,
-    where every permutation tallies as all zeros."""
+    """The scan looks each subsequence up by its values and shares a
+    prefix's counts with every permutation below it; pattern groups of
+    length 4 and 3, capped and not, are checked against a brute tally, from
+    n < k, where every permutation tallies as all zeros.  The length-3
+    groups are Robertson's two, exactly one 123 and one 132 (DMTCS 3,
+    1999), and Simion and Schmidt's pair {123, 132} as one group, avoided
+    by 2^(n-1) permutations."""
 
     @pytest.mark.parametrize("groups", [
         (((1, 3, 2, 4),), ((2, 4, 1, 3), (3, 1, 4, 2))),
         (((1, 2, 3, 4), (4, 3, 2, 1)), ((1, 4, 3, 2),), ((2, 1, 4, 3),)),
-    ], ids=["1324|2413,3142", "1234,4321|1432|2143"])
+        ROBERTSON_GROUPS,
+        (((1, 2, 3), (1, 3, 2)),),
+    ], ids=["1324|2413,3142", "1234,4321|1432|2143", "123|132", "123,132"])
     @pytest.mark.parametrize("cap", [None, 1, 2])
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_a_brute_tally(self, n, groups, cap):
         assert _scan_count(n, groups, cap) == brute_scan_tally(n, groups, cap)
+
+    def test_robertson_tally_at_8(self):
+        # (0,0) is Simion-Schmidt's 2^7, (0,1) robertson_single's 6·2^5 and
+        # (1,1) robertson_both's 5·4·2^3
+        assert _scan_count(8, ROBERTSON_GROUPS, 2) == {
+            (0, 0): 128, (0, 1): 192, (1, 0): 192, (1, 1): 160, None: 39648}
+
+    def test_robertson_scan_looks_each_subsequence_up_once_per_prefix(
+            self, monkeypatch):
+        # A scan of every permutation looks up 649,510 subsequences of S_8
+        # before the caps stop it.  Sharing each prefix's counts with every
+        # permutation below it takes 88,712 tuples from `combinations`: the
+        # 56 value sets of the lookup tables, and at each of the 6,897
+        # prefixes the walk extends, each entry of the prefix (k = 3) once
+        # for every next entry that stays under the caps and every value
+        # left after it.
+        yielded = 0
+
+        def counting(values, r):
+            nonlocal yielded
+            for subsequence in combinations(values, r):
+                yielded += 1
+                yield subsequence
+
+        monkeypatch.setattr(enumeration, "combinations", counting)
+        assert _count_both_exactly_one(8) == 160
+        assert yielded <= 90_000
 
 
 class TestPrefixPruningSoundness:
