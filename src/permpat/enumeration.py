@@ -25,8 +25,9 @@ Two independent computation routes live here on purpose:
   its values in a table of the value tuples that match a pattern, so the
   two routes cross-validate each other.  A subsequence is looked up once
   per prefix and shared by every permutation below it; the only pruning is
-  the cap, which tallies a prefix's whole subtree at once when a count
-  reaches it.  The tests' avoider oracle,
+  by the cap: a prefix's whole subtree is tallied at once when its counts,
+  with the occurrences its unused values are already known to complete,
+  reach it.  The tests' avoider oracle,
   `occurrence_histogram` (a plain {occurrences: permutations} dict) and
   the verifier's exactly-one-123-and-one-132 oracle read it.  No verifier
   claim reads `occurrence_histogram`: it stays for library callers and for
@@ -457,8 +458,8 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
     matching each group of length-k patterns, and tally the count vectors.
 
     Groups must be disjoint.  A permutation in which some group reaches
-    `cap` occurrences (a cap is at least 1) is tallied under None, so every
-    vector in the tally is exact.
+    `cap` occurrences is tallied under None, so every vector in the tally is
+    exact; a cap below 1 raises ValueError.
 
     The scan walks the prefix tree of S_n depth first.  Each prefix carries
     its counts and, for every value still unused, the counts of its
@@ -466,12 +467,21 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
     value adds them.  The (k-1)-subsequences an entry u adds to the prefix
     are the prefix's (k-2)-subsequences followed by u, so each k-subsequence
     is looked up once, at the prefix that places its next-to-last entry,
-    and shared by every permutation below it.  A prefix at which a group
-    reaches `cap` tallies all the permutations below it under None at once.
+    and shared by every permutation below it.
+
+    Every unused value is placed in the end and adds at least its pending
+    counts, so a prefix's counts plus all its pending counts are, group by
+    group, a lower bound on the count vector of every permutation below it.
+    A prefix whose bound reaches `cap` in some group tallies all the
+    permutations below it under None at once.  No k-set is counted twice
+    across the counts and the pending counts, as each pending k-set ends
+    at its own unused value, so a group's bound stays at or below C(n,k).
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be a positive integer")
     k = len(groups[0][0])
     # A count vector is one integer, `width` bits per group.  Each field's
-    # top bit stays clear, as no count or cap reaches 2**(width-1), so
+    # top bit stays clear, as no count, bound or cap reaches 2**(width-1), so
     # adding `lift`, 2**(width-1) - cap in each field, sets a top bit in
     # `tops` exactly where a group has reached the cap.
     width = max(comb(n, k), cap or 0).bit_length() + 1
@@ -501,12 +511,12 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
     lead = max(k - 2, 0)  # a match's entries before its last two
 
     def extend(pending: dict[int, int], counts: int) -> None:
+        if tops and (counts + sum(pending.values()) + lift) & tops:
+            tally[None] = tally.get(None, 0) + factorial(len(pending))
+            return
         later = len(pending) - 1  # entries after the one placed here
         for u, adds in pending.items():
             reached = counts + adds
-            if adds and (reached + lift) & tops:
-                tally[None] = tally.get(None, 0) + factorial(later)
-                continue
             pairs = ends[u]
             after = {v: c + sum(filter(None, map(pairs[v].get,
                                                  combinations(prefix, lead))))

@@ -70,10 +70,10 @@ _SCAN_CAP = 8
 
 
 # The oracle routes, costliest first: at the grid's n the S_n scan
-# outweighs a count by levels, which outweighs a product of rank rows.  In
-# one process (2-core container, CPython 3.11) robertson_both's scans take
-# 30-50 ms of CPU, the costliest levels claim, catalan, 12-14 ms, and the
-# costliest rows claim 4-5 ms.
+# outweighs a count by levels or is level with it, and both outweigh a
+# product of rank rows.  In one process (2-core container, CPython 3.11,
+# medians of 9) robertson_both's scans take 10-12 ms of CPU, the costliest
+# levels claim, catalan, 11-12 ms, and the costliest rows claims 3-4 ms.
 _ROUTES = ("scan", "levels", "rows")
 
 

@@ -582,26 +582,61 @@ class TestScanTable:
         assert _scan_count(8, ROBERTSON_GROUPS, 2) == {
             (0, 0): 128, (0, 1): 192, (1, 0): 192, (1, 1): 160, None: 39648}
 
+    @pytest.mark.parametrize("groups", [
+        (((1,),),),
+        (((1, 2),),),
+        (((1, 2),), ((2, 1),)),
+        (((1, 2), (2, 1)),),
+    ], ids=["1", "12", "12|21", "12,21"])
+    @pytest.mark.parametrize("cap", [3, 5])
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_short_patterns_match_a_brute_tally(self, n, groups, cap):
+        # At k = 1 every value is an occurrence, so a prefix's look-ahead
+        # reaches n at the root; at k = 2 each lookup is of the empty tuple.
+        assert _scan_count(n, groups, cap) == brute_scan_tally(n, groups, cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_refuses_a_cap_below_one(self, cap):
+        with pytest.raises(ValueError):
+            _scan_count(4, ROBERTSON_GROUPS, cap)
+
     def test_robertson_scan_looks_each_subsequence_up_once_per_prefix(
             self, monkeypatch):
         # A scan of every permutation looks up 649,510 subsequences of S_8
         # before the caps stop it.  Sharing each prefix's counts with every
-        # permutation below it takes 88,712 tuples from `combinations`: the
-        # 56 value sets of the lookup tables, and at each of the 6,897
-        # prefixes the walk extends, each entry of the prefix (k = 3) once
-        # for every next entry that stays under the caps and every value
-        # left after it.
-        yielded = 0
-
-        def counting(values, r):
-            nonlocal yielded
-            for subsequence in combinations(values, r):
-                yielded += 1
-                yield subsequence
-
-        monkeypatch.setattr(enumeration, "combinations", counting)
+        # permutation below it takes the 56 value sets of the lookup tables
+        # from `combinations`, and at each prefix the walk extends, each
+        # entry of the prefix (k = 3) once for every next entry and every
+        # value left after it: under 90,000 tuples even when only a placed
+        # entry's own count is checked against the caps.
+        yielded = count_scan_tuples(monkeypatch)
         assert _count_both_exactly_one(8) == 160
-        assert yielded <= 90_000
+        assert yielded() <= 90_000
+
+    def test_robertson_scan_stops_where_the_pending_counts_reach_the_caps(
+            self, monkeypatch):
+        # Every unused value is placed in the end and adds at least its
+        # pending count, so a prefix whose pending counts already take a
+        # group to 2 is tallied whole before any entry is placed after it:
+        # 30,884 tuples at n = 8.
+        yielded = count_scan_tuples(monkeypatch)
+        assert _count_both_exactly_one(8) == 160
+        assert yielded() <= 31_000
+
+
+def count_scan_tuples(monkeypatch):
+    """Route the scan's `combinations` through a counting wrapper; the
+    returned function reads the number of tuples yielded so far."""
+    yielded = 0
+
+    def counting(values, r):
+        nonlocal yielded
+        for subsequence in combinations(values, r):
+            yielded += 1
+            yield subsequence
+
+    monkeypatch.setattr(enumeration, "combinations", counting)
+    return lambda: yielded
 
 
 class TestPrefixPruningSoundness:
