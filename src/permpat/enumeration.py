@@ -214,8 +214,9 @@ def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:
 # consecutive cuts every rank at least max(k, t+1) from both ends fares
 # alike: the first of them is worked out and the rest copy its child state
 # with their own rank in place of its.
-# `_adhoc_rule` flattens each node of `_match_tables` once, into plain
-# tuples that the step indexes by node number and tests in plain loops.
+# `_match_tables` builds each node's fields in the shape the step reads;
+# `_adhoc_rule` only turns each node into a plain tuple, which the step
+# indexes by node number and unpacks in plain loops.
 
 def _standardize(values) -> tuple[int, ...]:
     order = sorted(values)
@@ -233,20 +234,21 @@ class _Node(NamedTuple):
     d values.  Its points are those of its d+2 bounds (the bottom, the
     matched values in increasing order, the top) that bound a gap some
     completion still needs, and it is stored as (node, *point cuts), so a
-    point is named by its position in that tuple."""
+    point is named by its position in that tuple.  At depth k-1, where a
+    match is never stored, `grows` and `alive` are empty."""
 
+    # for each needed gap a..b a new value can fill: (a, b, the number of
+    # the child node it reaches, the child's points as the parent's, 0 for
+    # the new value, and the child's needs if it is one entry short of a
+    # pattern, else ())
+    grows: tuple
+    # for each completion, the (a, b, entries) of each needed gap it puts
+    # entries in, the minimal completions only
+    alive: tuple
+    fixed: tuple  # the points that bound needed gaps from both sides,
+    lows: tuple  # only from below,
+    highs: tuple  # and only from above
     needs: tuple  # each needed gap's two points, in increasing order
-    # for each needed gap, the child a new value in it reaches and the
-    # child's points as the parent's, 0 for the new value; or None where
-    # only later entries need the gap
-    kids: tuple
-    # for each completion, how many of its entries each needed gap holds,
-    # the minimal such vectors only; None at depth k-1, where a match is
-    # never stored
-    alive: tuple | None
-    lows: tuple  # the points that bound needed gaps only from below,
-    highs: tuple  # only from above,
-    fixed: tuple  # and from both sides
 
 
 def _prefix_gaps(patterns: tuple[tuple[int, ...], ...]) -> dict:
@@ -270,31 +272,36 @@ def _match_tables(patterns: tuple[tuple[int, ...], ...]) -> list[_Node]:
     points = {q: {j: i + 1 for i, j in
                   enumerate(sorted({j + e for j in js for e in (0, 1)}))}
               for q, (_, js) in shape.items()}
+    needs = {q: tuple((points[q][j], points[q][j + 1]) for j in js)
+             for q, (_, js) in shape.items()}
     nodes = []
     for q, (ps, js) in shape.items():
         d, pts = len(q), points[q]
-        needs = tuple((pts[j], pts[j + 1]) for j in js)
-        lows = {a for a, _ in needs}
-        highs = {b for _, b in needs}
-        sides = (tuple(lows - highs), tuple(highs - lows),
-                 tuple(sorted(lows & highs)))
+        lows = {a for a, _ in needs[q]}
+        highs = {b for _, b in needs[q]}
+        sides = (tuple(sorted(lows & highs)), tuple(lows - highs),
+                 tuple(highs - lows), needs[q])
         if d == k - 1:
-            nodes.append(_Node(needs, (), None, *sides))
+            nodes.append(_Node((), (), *sides))
             continue
-        kids = {}
+        grows = {}
         for p in ps:
             j = _gap(p[:d], p[d])
             child = _standardize(p[:d + 1])
             # the child's bound a is the parent's a below the new value
             # and the parent's a-1 above it
-            kids[j] = (ids[child], tuple(0 if a == j + 1 else pts[a - (a > j)]
-                                         for a in points[child]))
+            grows[j] = (pts[j], pts[j + 1], ids[child],
+                        tuple(0 if a == j + 1 else pts[a - (a > j)]
+                              for a in points[child]),
+                        needs[child] if d + 2 == k else ())
         uses = {tuple(sum(_gap(p[:d], v) == j for v in p[d:]) for j in js)
                 for p in ps}
-        alive = tuple(u for u in uses
+        alive = tuple(tuple((*gap, e) for gap, e in zip(needs[q], u) if e)
+                      for u in uses
                       if not any(o != u and all(map(int.__le__, o, u))
                                  for o in uses))
-        nodes.append(_Node(needs, tuple(map(kids.get, js)), alive, *sides))
+        nodes.append(_Node(tuple(map(grows.get, sorted(grows))), alive,
+                           *sides))
     return nodes
 
 
@@ -331,17 +338,7 @@ def _adhoc_rule(nodes: list[_Node], k: int, target: int = 0):
     # beside the new entry can hold every completion's entries and, when a
     # match one entry short needs it, more occurrences than the target
     margin = max(k, target + 1)
-    # per node: (a, b, child, its points as the parent's, its needs if it
-    # is at depth k-1, else ()) for each needed gap a..b with a child; each
-    # minimal completion's nonzero (a, b, entries in the gap); and the
-    # two-sided, low and high points
-    tables = [(tuple((*gap, *kid, () if nodes[kid[0]].alive
-                      else nodes[kid[0]].needs)
-                     for gap, kid in zip(node.needs, node.kids) if kid),
-               tuple(tuple((*gap, need)
-                           for gap, need in zip(node.needs, use) if need)
-                     for use in node.alive or ()),
-               node.fixed, node.lows, node.highs) for node in nodes]
+    tables = list(map(tuple, nodes))
 
     def child(count: int, matches: tuple, size: int,
               r: int) -> tuple | None:
@@ -372,7 +369,7 @@ def _adhoc_rule(nodes: list[_Node], k: int, target: int = 0):
         moved = [(m[0], *[c - (c > r) for c in m[1:]]) for m in matches]
         rivals: dict = {}
         for m in grown + moved if target else {*grown, *moved}:
-            _, alive, fixed, _, _ = tables[m[0]]
+            _, alive, fixed, _, _, _ = tables[m[0]]
             for use in alive:
                 for a, b, need in use:
                     if m[b] - m[a] < need:
@@ -386,7 +383,7 @@ def _adhoc_rule(nodes: list[_Node], k: int, target: int = 0):
             if len(ms) == 1:
                 kept += ms
                 continue
-            _, _, _, lows, highs = tables[ms[0][0]]
+            _, _, _, lows, highs, _ = tables[ms[0][0]]
             for m in ms:
                 covered = 0
                 for o in ms:
@@ -472,10 +469,13 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
     Every unused value is placed in the end and adds at least its pending
     counts, so a prefix's counts plus all its pending counts are, group by
     group, a lower bound on the count vector of every permutation below it.
-    A prefix whose bound reaches `cap` in some group tallies all the
-    permutations below it under None at once.  No k-set is counted twice
-    across the counts and the pending counts, as each pending k-set ends
-    at its own unused value, so a group's bound stays at or below C(n,k).
+    A prefix's bound is tested once, as its last entry is placed: where it
+    reaches `cap` in some group, every permutation below the prefix is
+    tallied under None at once, and with at most one entry left to place
+    the bound is the one permutation's own count vector.  No k-set is
+    counted twice across the counts and the pending counts, as each
+    pending k-set ends at its own unused value, so a group's bound stays at
+    or below C(n,k).
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be a positive integer")
@@ -511,9 +511,6 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
     lead = max(k - 2, 0)  # a match's entries before its last two
 
     def extend(pending: dict[int, int], counts: int) -> None:
-        if tops and (counts + sum(pending.values()) + lift) & tops:
-            tally[None] = tally.get(None, 0) + factorial(len(pending))
-            return
         later = len(pending) - 1  # entries after the one placed here
         for u, adds in pending.items():
             reached = counts + adds
@@ -521,16 +518,15 @@ def _scan_count(n: int, groups: tuple[tuple[tuple[int, ...], ...], ...],
             after = {v: c + sum(filter(None, map(pairs[v].get,
                                                  combinations(prefix, lead))))
                      for v, c in pending.items() if v != u}
-            if later > 1:
+            bound = reached + sum(after.values())
+            if (bound + lift) & tops:
+                tally[None] = tally.get(None, 0) + factorial(later)
+            elif later > 1:
                 prefix.append(u)
                 extend(after, reached)
                 prefix.pop()
-                continue
-            # the last entry, if any, is placed here rather than by a call
-            final = reached + sum(after.values())
-            if final != reached and (final + lift) & tops:
-                final = None
-            tally[final] = tally.get(final, 0) + 1
+            else:  # at most one entry is left: the bound is the count vector
+                tally[bound] = tally.get(bound, 0) + 1
 
     if n:
         extend(start, 0)

@@ -17,6 +17,7 @@ Two claims are adjudications rather than plain checks:
 
 from __future__ import annotations
 
+import errno
 import os
 import time
 from functools import partial
@@ -69,11 +70,12 @@ _ENUM_CAP = 9
 _SCAN_CAP = 8
 
 
-# The oracle routes, costliest first: at the grid's n the S_n scan
-# outweighs a count by levels or is level with it, and both outweigh a
-# product of rank rows.  In one process (2-core container, CPython 3.11,
-# medians of 9) robertson_both's scans take 10-12 ms of CPU, the costliest
-# levels claim, catalan, 11-12 ms, and the costliest rows claims 3-4 ms.
+# The oracle routes, in the order `run_suite` starts their claims: at the
+# grid's n the S_n scan is level with a count by levels, and both outweigh
+# a product of rank rows.  In one process (2-core container, CPython 3.11,
+# medians of 9) robertson_both's scans take 11.0-11.4 ms of CPU, the
+# costliest levels claim, catalan, 11.7-11.8 ms, and the costliest rows
+# claim, corollary2_onset, 3.7 ms.
 _ROUTES = ("scan", "levels", "rows")
 
 
@@ -421,6 +423,9 @@ def write_report(records: Iterable[VerificationRecord], format: str,
 
     The report is written to a temporary file beside the destination and
     then renamed onto it, so a failed write leaves any earlier report whole.
+    A destination with no file name, such as `.`, `/` or one ending in a
+    separator, or that is a directory raises IsADirectoryError before
+    anything is written.
     """
     import csv
     import json
@@ -428,6 +433,10 @@ def write_report(records: Iterable[VerificationRecord], format: str,
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}; use json or csv")
     path = Path(destination)
+    if (not path.name or os.fspath(destination).endswith(os.sep)
+            or path.is_dir()):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                str(destination))
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         # a plain open, so the new report gets the umask's mode

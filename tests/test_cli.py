@@ -337,14 +337,25 @@ class TestVerify:
         assert all(entry["claim"] == "catalan" for entry in data)
         assert str(out_path) in out
 
-    def test_unwritable_report_path_exits_2(self, capsys, tmp_path):
-        out_path = tmp_path / "missing" / "report.json"
+    @pytest.mark.parametrize("destination", [
+        "missing/report.json", ".", "/", "reports", "reports/..", "missing/"
+    ], ids=["missing-directory", "dot", "root", "directory", "parent",
+            "trailing-separator"])
+    def test_unwritable_report_path_exits_2(self, capsys, tmp_path,
+                                            monkeypatch, destination):
+        # a destination with no file name, or a directory, is refused
+        # before a temporary file is written beside it
+        (tmp_path / "work" / "reports").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")
         code, out, err = run(capsys, "verify", "--claims", "theorem1",
-                             "--n-max", "4", "--out", str(out_path))
+                             "--n-max", "4", "--out", destination)
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write the report: ")
         assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert [p.name for p in (tmp_path / "work").iterdir()] == ["reports"]
+        assert not any((tmp_path / "work" / "reports").iterdir())
 
     def test_failing_record_exits_1(self, capsys, monkeypatch):
         fake = VerificationRecord(claim="theorem1", params=(("n", 5),),

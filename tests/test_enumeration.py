@@ -588,11 +588,13 @@ class TestScanTable:
         (((1, 2),), ((2, 1),)),
         (((1, 2), (2, 1)),),
     ], ids=["1", "12", "12|21", "12,21"])
-    @pytest.mark.parametrize("cap", [3, 5])
+    @pytest.mark.parametrize("cap", [None, 1, 3, 5])
     @pytest.mark.parametrize("n", range(0, 7))
     def test_short_patterns_match_a_brute_tally(self, n, groups, cap):
-        # At k = 1 every value is an occurrence, so a prefix's look-ahead
-        # reaches n at the root; at k = 2 each lookup is of the empty tuple.
+        # At k = 1 every value is an occurrence, so the bound reaches n at
+        # the first entry and cap 1 tallies all of S_n there; at k = 2 each
+        # lookup is of the empty tuple.  Uncapped, every permutation is
+        # tallied at its leaf, from n = 0 up.
         assert _scan_count(n, groups, cap) == brute_scan_tally(n, groups, cap)
 
     @pytest.mark.parametrize("cap", [0, -1])
