@@ -233,8 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="write the report here")
     p_verify.add_argument("--parallel", action="store_true",
                           help="fan whole claims out across processes, "
-                               "costliest oracle route first (one claim "
-                               "runs serially)")
+                               "by oracle route and then registry order "
+                               "(one claim runs serially)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_map = sub.add_parser(

@@ -17,6 +17,10 @@ patterns share is searched once; each leaf holds its pattern, so the walk
 also says which patterns it met.  Besides the window, it looks ahead: a
 host position is tried for a pattern entry only when enough later host
 values lie below and above it for the entries that pattern still needs.
+Those counts come from one backward pass over the host, which also tests
+the first slot's look-ahead as it goes, so a host with no position that
+can start an occurrence, such as every avoider of a T(k,m), is settled
+without a walk.
 """
 
 from __future__ import annotations
@@ -332,61 +336,76 @@ class PatternTrie:
         order; fewer when the host has fewer.  So `not hits(host, 1)` says
         the host avoids the whole set.
 
-        Like `_occurrences`, each depth keeps one resumable scan over the
-        host positions that leave room for the slots after it; at the last
-        slot the scan goes on past a match to count the next.  A position
-        enters an entry below the last slot only when its counts of later
-        smaller and later larger host values meet one of the entry's
-        pairs."""
-        found: list[tuple[int, ...]] = []
+        One backward pass over the host finds each position's count of
+        later smaller host values (its Lehmer digit; the later larger ones
+        are the rest) and, as it goes, tests the root entry's pairs there.
+        The walk starts only from the positions that pass, in increasing
+        order, and none passes in a host that avoids a T(k,m) or a union of
+        them.  Below the root, like `_occurrences`, each depth keeps one
+        resumable scan over the host positions that leave room for the
+        slots after it, and a position enters an entry only when its counts
+        meet one of the entry's pairs; at the last slot the scan goes on
+        past a match to count the next."""
         n = len(host)
         last = self.length - 1
-        if not 0 <= last < n:
-            return found
-        # smaller[p] counts the later host values below host[p] (the
-        # Lehmer code), larger[p] those above
+        root = self.root[0]
+        if root is None or last >= n:  # an empty trie, or a host too short
+            return []
+        top, pairs = root
+        if not last:  # k = 1: each host position is one occurrence
+            return [top] * min(cap, n)
         smaller = [0] * n
-        larger = [0] * n
         seen: list[int] = []
+        starts: list[int] = []
         for p in range(n - 1, -1, -1):
             v = host[p]
-            smaller[p] = i = bisect(seen, v)
-            larger[p] = n - 1 - p - i
-            seen.insert(i, v)
-        matched: list[int] = []  # the values of chosen[:j], sorted
+            smaller[p] = below = bisect(seen, v)
+            seen.insert(below, v)
+            above = n - 1 - p - below
+            for b, a in pairs:
+                if below >= b and above >= a:
+                    starts.append(p)
+                    break
+        if not starts:
+            return []
+        found: list[tuple[int, ...]] = []
         chosen = [0] * last
-        nodes: list = [self.root] + [None] * last
-        scans: list = [iter(range(n - last))] + [None] * last
-        j = 0
-        while True:
-            node = nodes[j]
-            for p in scans[j]:
-                entry = node[bisect(matched, host[p])]
-                if entry is None:
-                    continue
-                child, pairs = entry
-                if not pairs:  # a leaf: child is its pattern
-                    found.append(child)
-                    if len(found) == cap:
-                        return found
-                    continue
-                below = smaller[p]
-                above = larger[p]
-                for b, a in pairs:
-                    if below >= b and above >= a:
-                        break
+        nodes: list = [None] * (last + 1)
+        scans: list = [None] * (last + 1)
+        for start in reversed(starts):
+            chosen[0] = v = host[start]
+            matched = [v]  # the values of chosen[:j], sorted
+            nodes[1] = top
+            scans[1] = iter(range(start + 1, n - last + 1))
+            j = 1
+            while j:
+                node = nodes[j]
+                for p in scans[j]:
+                    entry = node[bisect(matched, host[p])]
+                    if entry is None:
+                        continue
+                    child, pairs = entry
+                    if not pairs:  # a leaf: child is its pattern
+                        found.append(child)
+                        if len(found) == cap:
+                            return found
+                        continue
+                    below = smaller[p]
+                    above = n - 1 - p - below
+                    for b, a in pairs:
+                        if below >= b and above >= a:
+                            break
+                    else:
+                        continue  # no pattern under the entry fits after p
+                    break
                 else:
-                    continue  # no pattern under the entry fits after p
-                break
-            else:
-                if j == 0:
-                    return found
-                j -= 1
-                matched.remove(chosen[j])
-                continue
-            v = host[p]
-            insort(matched, v)
-            chosen[j] = v
-            j += 1
-            nodes[j] = child
-            scans[j] = iter(range(p + 1, n - last + j))
+                    j -= 1
+                    matched.remove(chosen[j])
+                    continue
+                v = host[p]
+                insort(matched, v)
+                chosen[j] = v
+                j += 1
+                nodes[j] = child
+                scans[j] = iter(range(p + 1, n - last + j))
+        return found

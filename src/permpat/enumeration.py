@@ -72,11 +72,11 @@ DESK_SCALE_LIMIT = 12
 # of a second at n=2000, counted or listed).  Other work grows fast: the
 # states of {1324} about double with each n, {123} keeps one state per
 # unused value, so its steps grow like n^3 (6-7 s at n=300).  The
-# guard's trie walk re-checks a near-identity member of Tkm(9,5) or
-# M(9,5;tau) here in a few milliseconds, once the trie of T(9,5) is built
-# (0.15-0.25 s): its look-ahead refuses every entry without enough later
-# values below and above it, and the same walk finds an M member's one
-# occurrence of tau.
+# guard re-checks a near-identity member of Tkm(9,5) or M(9,5;tau) here in
+# about 1.2 ms, once the trie of T(9,5) is built (about 0.13 s): the pass
+# that counts each entry's later smaller values refuses, as it goes, every
+# first entry without enough later values below and above it, and the walk
+# from the rest finds an M member's one occurrence of tau.
 HARD_N_LIMIT = 2000
 # `occurrences` needs force past this many k * C(n,k) search steps (pattern
 # length k, host length n); at the bound that is up to about 10 s of CPU.
@@ -123,19 +123,27 @@ def _check_n(n: int, force: bool) -> None:
 
 def _walk(n: int, steps) -> Iterator[Permutation]:
     """Yield every permutation of S_n whose entries the rule allows at each
-    step, in lexicographic order."""
+    step, in lexicographic order.  The last entry is placed in its parent's
+    loop, with no iterator or rank of its own."""
     prefix: list[int] = []
     ranks: list[int] = []
     unused = list(range(1, n + 1))
+    if n == 1:
+        for r, _ in steps(0, None):
+            yield Permutation([unused[r]])
+        return
     stack = [iter(steps(n - 1, None))]
     while stack:
         for r, state in stack[-1]:
             prefix.append(unused.pop(r))
-            if unused:
+            if len(unused) > 1:
                 ranks.append(r)
                 stack.append(iter(steps(len(unused) - 1, state)))
                 break  # descend: the new top of the stack is iterated next
-            yield Permutation(prefix)
+            for last, _ in steps(0, state):
+                prefix.append(unused[last])
+                yield Permutation(prefix)
+                prefix.pop()
             unused.insert(r, prefix.pop())
         else:
             # the top node has no more children: undo the entry it added

@@ -148,7 +148,9 @@ def adhoc_set(patterns: Iterable[Permutation]) -> PatternSet:
 def avoids_all(p: Permutation, pattern_set: PatternSet) -> bool:
     """True when `p` contains no occurrence of any pattern in the set: one
     walk over the set's prefix trie, with its look-ahead, checks every
-    member at once."""
+    member at once.  The look-ahead of the first slot runs in the pass that
+    counts each position's later smaller values, so an avoider of a T(k,m)
+    or a union of them is cleared there, before any walk."""
     # a pattern longer than p cannot occur in it, and the trie is not built
     return len(p) < pattern_set.k or not pattern_set.trie.hits(p.values, 1)
 

@@ -88,7 +88,10 @@ class Claim(_Value):
     `_scan_count`; "levels" by `_levels` over a rank rule (an exactly-once
     class, or an ad hoc list avoided or contained an exact number of
     times); "rows" as a product of a union's `_rank_rows`.  `run_suite`
-    starts the claims of the costliest route first."""
+    starts the claims in the order of `_RUN_ORDER`: by route, scan, then
+    levels, then rows, and in registry order within a route.  Catalan, the
+    costliest claim, is the fifth started, after robertson_both and three
+    levels claims."""
 
     __slots__ = _fields = ("claim_id", "summary", "bindings", "run",
                            "route", "advisory")
@@ -315,9 +318,8 @@ _CLAIMS: dict[str, Claim] = {claim.claim_id: claim for claim in (
 ADVISORY_CLAIMS = frozenset(name for name, claim in _CLAIMS.items()
                             if claim.advisory)
 
-# The order claims run in: costliest route first, registry order within a
-# route (the sort is stable).  A pool whose longest tasks start first
-# leaves no worker running one of them alone after the rest are done.
+# The order claims run in: by route as `_ROUTES` lists them, registry order
+# within a route (the sort is stable).
 _RUN_ORDER = sorted(_CLAIMS,
                     key=lambda name: _ROUTES.index(_CLAIMS[name].route))
 
@@ -350,8 +352,8 @@ def verify_claim(claim_id: str, params: Mapping[str, int | str]) -> Verification
 
 def _run_claim(claim_id: str, n_max: int) -> list[VerificationRecord]:
     """The records of one claim's bindings with n <= n_max, in binding
-    order: the unit of work one pool worker runs under parallel, where the
-    claims of the costliest oracle route are handed out first."""
+    order: the unit of work one pool worker runs under parallel, handed
+    out in the order of `_RUN_ORDER`."""
     return [verify_claim(claim_id, params)
             for params in _CLAIMS[claim_id].bindings() if params["n"] <= n_max]
 
@@ -362,6 +364,9 @@ def _resolve_selection(selection) -> list[str]:
                                else selection))
     if names == ["all"]:
         return list(_CLAIMS)
+    if "all" in names:
+        raise ValueError(f"'all' stands alone: it selects every claim, so "
+                         f"list it without claim ids, not in {names}")
     unknown = [name for name in names if name not in _CLAIMS]
     if unknown:
         raise ValueError(f"unknown claim(s) {unknown}; known: "
@@ -375,9 +380,9 @@ def run_suite(selection="all", n_max: int = 9, *,
               parallel: bool = False) -> list[VerificationRecord]:
     """Verify every binding of the selected claims up to n_max.
 
-    n_max runs 1..DESK_SCALE_LIMIT; no grid passes n=9.  The claims run
-    costliest oracle route first (see `Claim`), serially or, under
-    parallel, as one pool task each, so the slowest oracles start at once.
+    n_max runs 1..DESK_SCALE_LIMIT; no grid passes n=9.  The claims run in
+    the order of `_RUN_ORDER` (see `Claim`), serially or, under parallel,
+    as one pool task each.
     Records come back sorted by claim id and then binding, so the output
     order never depends on execution order or on the parallel flag.
     """

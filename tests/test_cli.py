@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import importlib.util
 import inspect
 import io
 import json
@@ -8,6 +10,7 @@ import re
 import subprocess
 import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,13 @@ from permpat.families import parse_set_expression
 from permpat.verify import VerificationRecord
 
 from conftest import child_env
+
+# the benchmark's output checks, read only for their recorded digests
+_spec = importlib.util.spec_from_file_location(
+    "_perfbench_checks",
+    Path(__file__).resolve().parent.parent / "perfbench" / "checks.py")
+_checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_checks)
 
 
 def run(capsys, *argv):
@@ -157,6 +167,16 @@ class TestEnumerate:
         assert code == 0
         assert err == ""
         assert out == ",".join(str(v) for v in range(1, 1201)) + "\n"
+
+    @pytest.mark.parametrize("expr, n", sorted(_checks.STREAM_DIGESTS))
+    def test_benchmark_listings_match_their_recorded_digests(self, capsys,
+                                                             expr, n):
+        # the benchmark's eight enumerate listings, each pinned by the sha256
+        # of its whole output when the benchmark was introduced
+        code, out, err = run(capsys, "enumerate", "--set", expr, "-n", str(n))
+        assert (code, err) == (0, "")
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == _checks.STREAM_DIGESTS[(expr, n)])
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_exits_2(self, capsys, limit):

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +15,7 @@ from permpat.core import (
     parse_compact,
     parse_permutation,
 )
-from permpat.families import build_tkm
+from permpat.families import PatternSet, _family_patterns, build_tkm
 
 from conftest import brute_occurrence_list, complement, reverse
 
@@ -238,12 +238,19 @@ class TestPatternTrie:
     ])
     def test_a_position_without_room_for_the_rest_is_passed_over(
             self, host, pattern):
-        # each position is read once for its counts, and the first once
-        # more as the only candidate for the first slot, which is refused
-        # before any later slot is tried
+        # each position is read once, for its counts: the first, the only
+        # candidate for the first slot, is refused in that same pass
         host = _ReadLog(host)
         assert PatternTrie([pattern]).hits(host, 1) == []
-        assert host.reads == {0: 2, 1: 1, 2: 1}
+        assert host.reads == {0: 1, 1: 1, 2: 1}
+
+    def test_an_avoider_of_a_family_is_read_once(self):
+        # no position of a Tkm(4,2) avoider has one later value below it and
+        # two above, so the pass that counts them ends the check
+        host = _ReadLog((1, 10, 2, 9, 7, 3, 8, 5, 4, 6))
+        assert PatternTrie(p.values for p in build_tkm(4, 2).patterns).hits(
+            host, 1) == []
+        assert host.reads == {p: 1 for p in range(10)}
 
     @given(perms(max_n=8), st.lists(patterns(max_m=5), min_size=1,
                                     max_size=5))
@@ -261,6 +268,43 @@ class TestPatternTrie:
 
     def test_an_empty_trie_occurs_nowhere(self):
         assert PatternTrie([]).hits((1, 2, 3), 1) == []
+
+    def test_every_small_host_against_the_occurrence_walk(self):
+        # every T(k,m) and union of them for k <= 4, the T(k,m) trie each
+        # M(k,m;tau) set walks, a length-1 pattern and the empty trie, on
+        # every host of S_n for n <= 6, with caps 1-3; the walk meets the
+        # occurrences in lexicographic order of their positions
+        sets = [()]
+        for k in range(1, 5):
+            for ms in chain.from_iterable(combinations(range(1, k + 1), r)
+                                          for r in range(1, k + 1)):
+                sets.append(tuple(p for p in permutations(range(1, k + 1))
+                                  if p[0] in ms))
+        m_sets = [PatternSet(k, ms=(m,), tau=tau)
+                  for k in range(2, 5) for m in range(1, k + 1)
+                  for tau in build_tkm(k, m).patterns]
+        tries = [(PatternTrie(pats), frozenset(pats)) for pats in sets]
+        tries += [(ps.family_trie, frozenset(_family_patterns(ps.k, ps.ms)))
+                  for ps in m_sets]
+        every = {p: Permutation(p) for _, pats in tries for p in pats}
+        for n in range(1, 7):
+            for values in permutations(range(1, n + 1)):
+                host = Permutation(values)
+                occurrences = {p: count_occurrences(host, pattern)
+                               for p, pattern in every.items()}
+                ordered = sorted((positions, p)
+                                 for p, pattern in every.items()
+                                 for positions in iter_occurrences(host,
+                                                                   pattern))
+                for trie, pats in tries:
+                    counts = Counter({p: occurrences[p] for p in pats})
+                    total = sum(counts.values())
+                    met = [p for _, p in ordered if p in pats]
+                    for cap in (1, 2, 3):
+                        found = trie.hits(values, cap)
+                        assert len(found) == min(cap, total), (pats, values)
+                        assert not Counter(found) - counts, (pats, values)
+                        assert found == met[:cap], (pats, values)
 
 
 class TestParsing:

@@ -198,6 +198,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("nope", 5)
 
+    @pytest.mark.parametrize("selection", [["all", "theorem1"],
+                                           ["theorem1", "all", "all"]])
+    def test_all_mixed_with_claim_ids_is_refused(self, selection):
+        # it once read as an unknown claim 'all', next to a list of the
+        # known ids that does not name it
+        with pytest.raises(ValueError, match="'all' stands alone"):
+            run_suite(selection, 5)
+
     def test_empty_selection(self):
         with pytest.raises(ValueError):
             run_suite([], 5)
