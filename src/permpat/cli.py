@@ -13,7 +13,6 @@ import sys
 from itertools import chain, islice
 from math import comb
 
-from .bijections import insert_bottom, prepend_insert, remove_bottom
 from .core import (_is_ascii_digits, count_occurrences, iter_occurrences,
                    parse_permutation)
 from .enumeration import (
@@ -74,8 +73,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     pattern_set = parse_set_expression(args.set)
     listing = (enumerate_exactly_once if pattern_set.kind == "mkm"
                else enumerate_avoiders)
-    _write_lines(islice(listing(args.n, pattern_set, force=args.force),
-                        limit))
+    members = listing(args.n, pattern_set, force=args.force)
+    # after the listing has checked n: each value's text, made once
+    names = [str(v) for v in range(args.n + 1)]
+    _write_lines(",".join([names[v] for v in p.values])
+                 for p in islice(members, limit))
     return 0
 
 
@@ -165,6 +167,8 @@ def _print_advisory_findings(records) -> None:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from .bijections import insert_bottom, prepend_insert, remove_bottom
+
     if args.which in ("prepend", "insertbottom"):
         if args.beta is None or args.h is None:
             raise ValueError(f"map {args.which} needs --beta and --h")

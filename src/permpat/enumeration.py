@@ -175,12 +175,23 @@ def _rank_rows(n: int, k: int, ms: tuple[int, ...],
     An entry followed by r smaller and later-r larger entries starts
     C(r,m-1)·C(later-r,k-m) occurrences of T(k,m), whatever order those
     entries take.  Every rank from k to later-k starts at least two of each
-    T(k,m), so only the ranks below k and above later-k are tested."""
-    return [[(r, c) for r in chain(range(min(k, later + 1)),
-                                   range(max(k, later - k + 1), later + 1))
-             if (c := sum(comb(r, m - 1) * comb(later - r, k - m)
-                          for m in ms)) < below]
-            for later in range(n)]
+    T(k,m), so only the ranks below k and above later-k are tested.  A
+    rank's sum over ms stops as soon as it reaches `below`: no term is
+    negative, so a sum that never reaches it is exact."""
+    rows = []
+    for later in range(n):
+        row = []
+        for r in chain(range(min(k, later + 1)),
+                       range(max(k, later - k + 1), later + 1)):
+            c = 0
+            for m in ms:
+                c += comb(r, m - 1) * comb(later - r, k - m)
+                if c >= below:
+                    break
+            else:
+                row.append((r, c))
+        rows.append(row)
+    return rows
 
 
 def _count_family(n: int, k: int, ms: tuple[int, ...]) -> int:

@@ -73,9 +73,9 @@ _SCAN_CAP = 8
 # The oracle routes, in the order `run_suite` starts their claims: at the
 # grid's n the S_n scan is level with a count by levels, and both outweigh
 # a product of rank rows.  In one process (2-core container, CPython 3.11,
-# medians of 9) robertson_both's scans take 11.0-11.4 ms of CPU, the
-# costliest levels claim, catalan, 11.7-11.8 ms, and the costliest rows
-# claim, corollary2_onset, 3.7 ms.
+# medians of 9) robertson_both's scans take 12.6-13.9 ms of CPU, the
+# costliest levels claim, catalan, 13.4-14.3 ms, and the costliest rows
+# claim, corollary2_onset, 2.9-3.0 ms.
 _ROUTES = ("scan", "levels", "rows")
 
 
@@ -432,7 +432,6 @@ def write_report(records: Iterable[VerificationRecord], format: str,
     separator, or that is a directory raises IsADirectoryError before
     anything is written.
     """
-    import csv
     import json
 
     if format not in ("json", "csv"):
@@ -451,6 +450,8 @@ def write_report(records: Iterable[VerificationRecord], format: str,
                 payload = [dict(zip(_COLUMNS, row)) for row in rows]
                 fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             else:
+                import csv
+
                 writer = csv.writer(fh)
                 writer.writerow(_COLUMNS)
                 for row in rows:

@@ -469,6 +469,20 @@ class TestListingWriter:
         assert (code, err) == (0, "")
         assert out == "".join(f"{p}\n" for p in _listing(expr, n))
 
+    @pytest.mark.parametrize("expr", ["U(4;1,3)", "Tkm(4,2)", "M(3,2;213)",
+                                      "M(2,1;12)", "{1324,2143}", "{1}"])
+    @pytest.mark.parametrize("n, limit", [(n, None) for n in range(1, 8)]
+                             + [(11, 200)])
+    def test_each_line_is_the_members_text(self, capsys, expr, n, limit):
+        # cli joins a table of value texts, not Permutation.__str__
+        argv = ["enumerate", "--set", expr, "-n", str(n)]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{p}\n"
+                              for p in islice(_listing(expr, n), limit))
+
     def test_a_listing_is_written_in_blocks(self, monkeypatch):
         # print makes two write calls per line: 26,244 here
         out = _Recorder()
@@ -670,6 +684,19 @@ class TestImportFootprint:
             argv=["enumerate", "--set", "{132}", "-n", "4"]))
         assert {"permpat.cli", "permpat.verify"} <= added
         assert not added & self._HEAVY
+
+    def test_a_json_report_loads_no_csv(self, tmp_path):
+        added = _added_modules(_RUN_CLI.format(
+            argv=["verify", "--claims", "theorem1", "--n-max", "5",
+                  "--format", "json", "--out", str(tmp_path / "r.json")]))
+        assert "json" in added
+        assert "csv" not in added
+
+    def test_enumerate_loads_no_bijections(self):
+        added = _added_modules(_RUN_CLI.format(
+            argv=["enumerate", "--set", "Tkm(3,1)", "-n", "4"]))
+        assert "permpat.cli" in added
+        assert "permpat.bijections" not in added
 
     def test_each_name_is_read_from_its_submodule(self):
         import permpat.verify as verify

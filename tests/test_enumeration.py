@@ -156,6 +156,31 @@ class TestFamilyRuleTable:
                         for later in range(n)], (k, ms, below, n)
                     assert max(map(len, rows)) <= 2 * k, (k, ms, below, n)
 
+    def test_rank_rows_stop_each_sum_at_the_cap(self):
+        # a rank's sum stops at `below`, which cuts a sum short only when
+        # the rank starts occurrences of several T(k,m): below=2 and 3 for
+        # every union of k <= 6, and for k = 7..9 each single m and the
+        # whole interval 1..k, under the same dense reference.  below=3 is
+        # past the rows' cap of 2: a rank from k to later-k may start
+        # exactly two occurrences and is still not tested, so there the
+        # reference skips those ranks too.
+        queries = [(k, ms, below, range(1, 15)) for k in range(2, 7)
+                   for size in range(1, k + 1)
+                   for ms in combinations(range(1, k + 1), size)
+                   for below in (2, 3)]
+        queries += [(k, ms, below, range(1, 2 * k + 3)) for k in range(7, 10)
+                    for ms in [(m,) for m in range(1, k + 1)]
+                    + [tuple(range(1, k + 1))]
+                    for below in (1, 2, 3)]
+        for k, ms, below, ns in queries:
+            for n in ns:
+                assert _rank_rows(n, k, ms, below) == [
+                    [(r, c) for r in range(later + 1)
+                     if (below <= 2 or not k <= r <= later - k)
+                     and (c := sum(comb(r, m - 1) * comb(later - r, k - m)
+                                   for m in ms)) < below]
+                    for later in range(n)], (k, ms, below, n)
+
 
 class TestUnionsAreRankRowProducts:
     """A union is counted as the product of its rank rows and listed by
