@@ -236,9 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="report format for --out (default json)")
     p_verify.add_argument("--out", default=None, help="write the report here")
     p_verify.add_argument("--parallel", action="store_true",
-                          help="fan whole claims out across processes, "
-                               "by oracle route and then registry order "
-                               "(one claim runs serially)")
+                          help="run whole claims in this process and in "
+                               "forked workers, one per further CPU, which "
+                               "take them by oracle route and then registry "
+                               "order (one claim runs serially; without "
+                               "os.fork, all run in this process)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_map = sub.add_parser(

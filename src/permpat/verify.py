@@ -18,6 +18,7 @@ Two claims are adjudications rather than plain checks:
 from __future__ import annotations
 
 import errno
+import marshal
 import os
 import time
 from functools import partial
@@ -25,7 +26,7 @@ from itertools import combinations as _combinations
 from itertools import permutations as _permutations
 from math import factorial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn
 
 from .core import Permutation, _Value, parse_compact
 from .enumeration import (
@@ -319,7 +320,8 @@ ADVISORY_CLAIMS = frozenset(name for name, claim in _CLAIMS.items()
                             if claim.advisory)
 
 # The order claims run in: by route as `_ROUTES` lists them, registry order
-# within a route (the sort is stable).
+# within a route (the sort is stable).  `_fan_out` hands a claim out as its
+# index here in one byte, so the registry stays below 256 claims.
 _RUN_ORDER = sorted(_CLAIMS,
                     key=lambda name: _ROUTES.index(_CLAIMS[name].route))
 
@@ -352,10 +354,89 @@ def verify_claim(claim_id: str, params: Mapping[str, int | str]) -> Verification
 
 def _run_claim(claim_id: str, n_max: int) -> list[VerificationRecord]:
     """The records of one claim's bindings with n <= n_max, in binding
-    order: the unit of work one pool worker runs under parallel, handed
-    out in the order of `_RUN_ORDER`."""
+    order: the unit of work one process takes from the claim pipe under
+    parallel, in the order of `_RUN_ORDER`."""
     return [verify_claim(claim_id, params)
             for params in _CLAIMS[claim_id].bindings() if params["n"] <= n_max]
+
+
+def _take_claims(claims: int, n_max: int) -> list[VerificationRecord]:
+    """The records of the claims this process reads from the pipe `claims`,
+    one `_RUN_ORDER` index per byte, until the pipe is empty."""
+    records = []
+    while index := os.read(claims, 1):
+        records += _run_claim(_RUN_ORDER[index[0]], n_max)
+    return records
+
+
+def _work(claims: int, results: int, n_max: int) -> NoReturn:
+    """A forked worker's whole life: take claims from the pipe `claims`,
+    write the fields of their records, or the error that stopped it, to the
+    pipe `results` with marshal, and exit.  It never returns, so no
+    exception resumes the caller's frames, which the worker shares."""
+    code = 1
+    try:
+        try:
+            payload = [record._key() for record in _take_claims(claims, n_max)]
+        except Exception as exc:
+            payload = f"{type(exc).__name__}: {exc}"
+        with open(results, "wb") as out:
+            marshal.dump(payload, out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, results: int) -> list | str:
+    """Read a worker's pipe to its end, then reap the worker: the fields of
+    its records, or why it failed."""
+    with open(results, "rb") as inp:
+        data = inp.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        return f"worker {pid} exited with status {status}"
+    return marshal.loads(data)
+
+
+def _fan_out(order: bytes, n_max: int) -> list[VerificationRecord]:
+    """The records of the claims whose `_RUN_ORDER` indices `order` lists,
+    taken from one pipe in that order by this process and by one forked
+    worker per further CPU, up to one process per claim.  Where `os.fork`
+    is missing, this process takes them all.
+
+    Every worker has been reaped when this returns or raises.  A worker's
+    error, or its nonzero exit, raises RuntimeError; an error in this
+    process's own share is raised as it is."""
+    claims_r, claims_w = os.pipe()
+    os.write(claims_w, order)
+    os.close(claims_w)
+    count = min(len(order), os.cpu_count() or 1) - 1 if hasattr(os, "fork") else 0
+    workers: list[tuple[int, int]] = []  # pid, read end of its result pipe
+    try:
+        for _ in range(count):
+            results_r, results_w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(claims_r, results_w, n_max)
+            except BaseException:
+                os.close(results_r)
+                raise
+            finally:
+                os.close(results_w)
+            workers.append((pid, results_r))
+        records = _take_claims(claims_r, n_max)
+    except BaseException:
+        os.read(claims_r, len(order))  # the workers start no further claim
+        raise
+    finally:
+        os.close(claims_r)
+        outcomes = [_reap(pid, results_r) for pid, results_r in workers]
+    failures = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    if failures:
+        raise RuntimeError(f"verify worker failed: {'; '.join(failures)}")
+    return records + [VerificationRecord(*key)
+                      for keys in outcomes for key in keys]
 
 
 def _resolve_selection(selection) -> list[str]:
@@ -382,7 +463,9 @@ def run_suite(selection="all", n_max: int = 9, *,
 
     n_max runs 1..DESK_SCALE_LIMIT; no grid passes n=9.  The claims run in
     the order of `_RUN_ORDER` (see `Claim`), serially or, under parallel,
-    as one pool task each.
+    taken one at a time from a pipe by this process and by forked workers,
+    one per further CPU (see `_fan_out`); a selection of one claim runs
+    serially.
     Records come back sorted by claim id and then binding, so the output
     order never depends on execution order or on the parallel flag.
     """
@@ -394,14 +477,10 @@ def run_suite(selection="all", n_max: int = 9, *,
     chosen = set(_resolve_selection(selection))
     names = [name for name in _RUN_ORDER if name in chosen]
     if parallel and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_claim, names, [n_max] * len(names)))
+        records = _fan_out(bytes(map(_RUN_ORDER.index, names)), n_max)
     else:
-        results = [_run_claim(name, n_max) for name in names]
-    return sorted((r for result in results for r in result),
-                  key=lambda r: (r.claim, r.params))
+        records = [r for name in names for r in _run_claim(name, n_max)]
+    return sorted(records, key=lambda r: (r.claim, r.params))
 
 
 def failed_records(records: Iterable[VerificationRecord]) -> list[VerificationRecord]:

@@ -1,10 +1,10 @@
-import concurrent.futures
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -65,8 +65,9 @@ class TestRegistry:
                 for c in claims] == sizes
 
     def test_each_claim_is_one_task_costliest_route_first(self, monkeypatch):
-        # run_suite hands each selected claim to _run_claim once: one worker
-        # task under parallel, and a selection of one claim starts no pool.
+        # run_suite hands each selected claim to _run_claim once: one claim
+        # taken from the pipe under parallel, and a selection of one claim
+        # forks no worker.
         calls = []
         monkeypatch.setattr(verify, "_run_claim", lambda claim_id, n_max:
                             calls.append((claim_id, n_max)) or [])
@@ -77,36 +78,27 @@ class TestRegistry:
         assert calls == [("robertson_both", 4), ("catalan", 4),
                          ("theorem1", 4)]
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started for one claim")
+        def no_fork():
+            raise AssertionError("a worker was forked for one claim")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         calls.clear()
         run_suite("theorem1", 9, parallel=True)
         assert calls == [("theorem1", 9)]
 
     def test_pool_gets_the_costliest_routes_first(self, monkeypatch):
-        mapped = []
-
-        class RecordingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, names, n_maxes):
-                mapped.extend(names)
-                return map(fn, names, n_maxes)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        monkeypatch.setattr(verify, "_run_claim", lambda claim_id, n_max: [])
+        # with one CPU no worker is forked, and this process takes every
+        # claim from the pipe in the order the pipe hands them out
+        calls = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(verify, "_run_claim", lambda claim_id, n_max:
+                            calls.append(claim_id) or [])
         run_suite("all", 9, parallel=True)
-        assert mapped == RUN_ORDER
+        assert calls == RUN_ORDER
+
+    def test_registry_fits_one_byte_per_claim(self):
+        # _fan_out hands each claim out as one byte of its _RUN_ORDER index
+        assert len(builtin_claims()) < 256
 
     @pytest.mark.parametrize("claim", builtin_claims(),
                              ids=lambda claim: claim.claim_id)
@@ -139,6 +131,16 @@ class TestRegistry:
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    def test_parallel_verify_loads_no_process_pool(self):
+        # the workers are forked and read their claims from a pipe
+        code = ("import sys; from permpat.cli import main; "
+                "main(['verify', '--claims', 'theorem1,catalan', '--n-max', '5',"
+                " '--parallel']); print(sorted({'concurrent.futures',"
+                " 'multiprocessing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.endswith("pass\n[]\n")
 
     def test_advisory_set_matches_the_claims(self):
         assert ADVISORY_CLAIMS == {c.claim_id for c in builtin_claims()
@@ -268,6 +270,89 @@ class TestRunSuite:
         assert any(not r.passed and r.params_dict().get("ms") == "1,4"
                    and r.params_dict()["n"] == 5 for r in records)
 
+
+
+def wait_for(path):
+    """Wait until `path` exists, or 30 s have passed."""
+    deadline = time.monotonic() + 30
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+class TestForkedWorkers:
+    """run_suite(parallel=True) with one forked worker beside this process.
+    The side whose claims fail takes its first claim while the other side
+    waits for that, so the fault is hit whatever the scheduling."""
+
+    @pytest.fixture
+    def fail_in(self, monkeypatch, tmp_path):
+        def install(side, fault):
+            parent = os.getpid()
+            taken = tmp_path / "taken"
+
+            def run_claim(claim_id, n_max):
+                if (os.getpid() == parent) != (side == "parent"):
+                    wait_for(taken)
+                    return []
+                taken.touch()
+                return fault(claim_id)
+
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            monkeypatch.setattr(verify, "_run_claim", run_claim)
+
+        return install
+
+    @staticmethod
+    def raise_in_worker(claim_id):
+        raise ZeroDivisionError(f"{claim_id} in a worker")
+
+    def test_worker_error_is_a_runtime_error(self, fail_in):
+        fail_in("worker", self.raise_in_worker)
+        with pytest.raises(RuntimeError,
+                           match=r"ZeroDivisionError: \w+ in a worker"):
+            run_suite("all", 9, parallel=True)
+        assert_no_child_left()
+
+    def test_worker_exit_status_is_a_runtime_error(self, fail_in):
+        fail_in("worker", lambda claim_id: os._exit(7))
+        with pytest.raises(RuntimeError, match="exited with status 7"):
+            run_suite("all", 9, parallel=True)
+        assert_no_child_left()
+
+    def test_worker_error_exits_3(self, fail_in, capsys):
+        fail_in("worker", self.raise_in_worker)
+        assert main(["verify", "--parallel"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"internal error: RuntimeError: verify worker "
+                            r"failed: ZeroDivisionError: \w+ in a worker\n",
+                            err)
+        assert_no_child_left()
+
+    def test_error_in_own_share_propagates_once_workers_end(self, fail_in):
+        class OwnShareError(Exception):
+            pass
+
+        def raise_here(claim_id):
+            raise OwnShareError(claim_id)
+
+        fail_in("parent", raise_here)
+        with pytest.raises(OwnShareError):
+            run_suite("all", 9, parallel=True)
+        assert_no_child_left()
+
+
+def test_parallel_without_fork_runs_every_claim_here(monkeypatch):
+    serial = run_suite("all", 7)
+    monkeypatch.delattr(os, "fork", raising=False)
+    records = run_suite("all", 7, parallel=True)
+    assert [r._key()[:-1] for r in records] == [r._key()[:-1] for r in serial]
 
 class TestWriteReport:
     def _one_record(self):
